@@ -166,10 +166,6 @@ def main(argv: list[str] | None = None) -> int:
                      help="write Appendix-A artifacts here")
     run.add_argument("--set", dest="overrides", action="append", default=[],
                      metavar="KEY=VALUE", help="override a config field")
-    run.add_argument("--dispatch", choices=("serial", "lookahead"), default=None,
-                     help="kernel dispatch mode (overrides the kernel: block)")
-    run.add_argument("--workers", dest="dispatch_workers", type=int, default=None,
-                     help="lookahead dispatch lane workers (>= 1)")
     run.add_argument("--metrics", action="store_true",
                      help="collect runtime metrics; writes metrics.json "
                           "with the artifacts")
@@ -386,15 +382,6 @@ def main(argv: list[str] | None = None) -> int:
         config = replace(config, metrics=True)
 
     if args.command == "run":
-        if getattr(args, "dispatch", None) or getattr(args, "dispatch_workers", None):
-            from dataclasses import replace
-
-            kernel = dict(config.kernel)
-            if args.dispatch:
-                kernel["dispatch"] = args.dispatch
-            if args.dispatch_workers:
-                kernel["workers"] = args.dispatch_workers
-            config = replace(config, kernel=kernel)
         print(f"running {config.name!r}: {config.topology} topology, "
               f"{config.link_layer}, conn interval {config.conn_interval}, "
               f"{config.duration_s:.0f}s ...", file=sys.stderr)

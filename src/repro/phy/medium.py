@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 from repro.obs.registry import METRICS
 from repro.phy.frames import ble_air_time_ns
 from repro.phy.spatial import Geometry
-from repro.sim.cluster import ClusterMap
 from repro.sim.kernel import Simulator
 from repro.trace.tracer import TRACE
 
@@ -170,67 +169,6 @@ class BleMedium:
         # usable_channels memo: (query, interference stamp) -> result.
         self._usable_key: Optional[Tuple[Tuple[int, ...], Tuple[int, int]]] = None
         self._usable: List[int] = []
-        #: Cluster partition for loss-stream sharding (None = one shared
-        #: stream, the seed behaviour).  See :meth:`attach_clusters`.
-        self._clusters: Optional[ClusterMap] = None
-        self._stream_seed = 0
-        #: cluster root -> its loss-sampling stream.
-        self._streams: Dict[int, random.Random] = {}
-
-    # -- loss-stream sharding ---------------------------------------------
-
-    @property
-    def clusters(self) -> Optional[ClusterMap]:
-        """The attached cluster partition (``None`` = unsharded)."""
-        return self._clusters
-
-    def attach_clusters(self, clusters: ClusterMap, seed: int) -> None:
-        """Shard the loss-sampling stream per connection cluster.
-
-        The lookahead-parallel dispatcher may reorder packet exchanges
-        *across* clusters inside one window; a single shared ``rng`` would
-        hand those exchanges different draws depending on dispatch order.
-        Sharding gives every cluster its own stream, consumed in that
-        cluster's (serial-identical) event order, so serial and lookahead
-        dispatch sample identical loss sequences.
-
-        The smallest cluster root keeps the medium's original ``rng``
-        object: a single-component scenario -- the paper's single-room
-        testbed, every committed golden -- draws from the exact stream it
-        always did, byte for byte.  Cluster merges (monotone, see
-        :class:`~repro.sim.cluster.ClusterMap`) deterministically adopt
-        the stream of the smallest previously-streamed root.
-        """
-        self._clusters = clusters
-        self._stream_seed = int(seed)
-        self._streams = {}
-        roots = clusters.roots()
-        if roots:
-            self._streams[roots[0]] = self.rng
-
-    def loss_rng(self, addr: Optional[int]) -> random.Random:
-        """The loss stream that samples packets involving node ``addr``.
-
-        Both endpoints of an exchange share a cluster by construction, so
-        either address selects the same stream.  Falls back to the shared
-        ``rng`` when sharding is not attached or the address is unknown.
-        """
-        clusters = self._clusters
-        if clusters is None or addr is None:
-            return self.rng
-        root = clusters.root(addr)
-        stream = self._streams.get(root)
-        if stream is None:
-            # A merge may have re-rooted a cluster that already owned a
-            # stream: adopt the smallest absorbed root's stream so the
-            # sequence survives the merge deterministically.
-            absorbed = [r for r in self._streams if clusters.root(r) == root]
-            if absorbed:
-                stream = self._streams[min(absorbed)]
-            else:
-                stream = random.Random((self._stream_seed << 20) ^ (root + 1))
-            self._streams[root] = stream
-        return stream
 
     # -- node registry ----------------------------------------------------
 
@@ -279,35 +217,6 @@ class BleMedium:
             x, y = self.geometry.position_of(old_addr)
             self.geometry.remove(old_addr)
             self.geometry.place(new_addr, x, y)
-        if self._clusters is not None:
-            # Both addresses name one node: the dispatcher must keep
-            # resolving timers keyed by either into the same lane.
-            self._clusters.note_alias(old_addr, new_addr)
-
-    def note_link(self, a: int, b: int) -> None:
-        """Connection-establishment hook: the two nodes now interact.
-
-        Geometry-seeded partitions already have both ends in one cluster
-        (a connection needs radio range), so this usually no-ops; it is
-        the safety net for geometry-less or hand-built partitions.
-        """
-        if self._clusters is not None:
-            self._clusters.note_edge(a, b)
-
-    def note_move(self, addr: int) -> None:
-        """Mobility invalidation hook: merge the mover into earshot.
-
-        A relocated node may now hear clusters it could not before; the
-        partition is monotone, so merging with every current neighbor is
-        always sound (at worst over-conservative).  No-op without sharding
-        or geometry.
-        """
-        if (
-            self._clusters is not None
-            and self.geometry is not None
-            and addr in self.geometry
-        ):
-            self._clusters.note_mobility(addr, self.geometry.neighbors_of(addr))
 
     # -- scanner registry -------------------------------------------------
 
@@ -373,26 +282,14 @@ class BleMedium:
                 heard.extend(by_addr[addr])
         return heard
 
-    def packet_lost(
-        self, channel: int, nbytes: int, addr: Optional[int] = None
-    ) -> bool:
-        """Sample whether one packet on ``channel`` is corrupted on air.
-
-        ``addr`` identifies (either of) the nodes involved so a
-        cluster-sharded medium draws from the right loss stream; omitting
-        it uses the shared stream (identical when sharding is off or the
-        scenario is a single cluster).
-        """
+    def packet_lost(self, channel: int, nbytes: int) -> bool:
+        """Sample whether one packet on ``channel`` is corrupted on air."""
         per = self.interference.packet_error_rate(channel, nbytes, self.sim.now)
         self.packets_sampled += 1
         if per <= 0.0:
             lost = False
         else:
-            if self._clusters is None or addr is None:
-                rng = self.rng
-            else:
-                rng = self.loss_rng(addr)
-            lost = rng.random() < per
+            lost = self.rng.random() < per
             if lost:
                 self.packets_lost += 1
         if TRACE.enabled:

@@ -7,26 +7,17 @@ scheduling order.  Timestamps are integer nanoseconds of *true* time --
 node-local (drifting) views of time are layered on top by
 :class:`repro.sim.clock.DriftingClock` and never enter the kernel.
 
-Storage is a two-level hierarchical timer wheel instead of a single binary
-heap, because the dominant timers (connection-event anchors, exchange
-follow-ups) live a few milliseconds to a few hundred milliseconds ahead:
-
-* the **current-slot heap** holds timers of the slot being dispatched,
-  ordered as ``(when, seq, timer)`` tuples so comparisons stay in C;
-* the **wheel** is a ring of :data:`WHEEL_SLOTS` unsorted buckets, each
-  :data:`WHEEL_SLOT_NS` wide, giving O(1) schedule for anything within
-  ~270 ms; bucket lists are cleared and reused in place (eager slot
-  reuse), never reallocated;
-* the **overflow heap** takes the long tail (1 s producer ticks, CoAP
-  retransmission timers, supervision horizons).
-
-Dispatch order is *identical* to the classic all-heap kernel: a slot's
-bucket is heapified on entry, so timers still fire strictly by
-``(when, seq)``; the bucketing only changes *where* a timer waits, never
-*when* it fires (see DESIGN.md, "Timer-wheel kernel").
+Storage is one binary heap of ``(when, seq, timer)`` tuples: ``(when,
+seq)`` is unique, so comparisons stay in C and never reach the timer.
+Scheduling is a past-time check, a free-list pop and one ``heappush``;
+dispatch is one ``heappop`` per event.  A hierarchical timer wheel
+dispatches in the same order but pays to bin every timer; with the few,
+mostly re-armed timers of this simulator the heap is faster (+12 %
+simulated seconds per wall second on the Fig. 13 workload, see
+DESIGN.md, "Event-heap kernel").
 
 Cancellation is lazy (a flag checked at pop time) but counted, so
-:meth:`Simulator.pending` is O(1) and the structures are compacted once
+:meth:`Simulator.pending` is O(1) and the heap is compacted once
 cancelled timers outnumber live ones -- long runs that cancel many timers
 (24 h supervision-heavy scenarios) stay bounded in memory.  Timer objects
 popped in a cancelled state feed a free list that :meth:`Simulator.at`
@@ -54,33 +45,12 @@ from repro.obs.wallclock import perf_counter
 from repro.trace.record import callback_name
 from repro.trace.tracer import TRACE
 
-#: Default hub bindings handed to every Simulator at construction.  The
-#: dispatch path reads hubs exclusively through instance attributes
-#: (``self._trace`` etc.) so that no dispatch-reachable function references
-#: a module-level singleton by name -- the SL009 shared-state contract --
-#: and so a cluster lane could be handed sharded hubs without touching the
-#: loops.  Bundling the four singletons in one tuple keeps the only
-#: by-name references at module scope (import time).
-_DEFAULT_HUBS = (INSTR, TRACE, METRICS, PROFILER)
-
-#: log2 of the wheel slot width: each bucket spans 2**21 ns (~2.1 ms).
-WHEEL_SLOT_SHIFT: int = 21
-#: Width of one wheel bucket in true nanoseconds.
-WHEEL_SLOT_NS: int = 1 << WHEEL_SLOT_SHIFT
-#: Number of wheel buckets (a power of two so the ring index is a mask).
-WHEEL_SLOTS: int = 128
-#: Ring index mask, ``slot & WHEEL_SLOT_MASK``.
-WHEEL_SLOT_MASK: int = WHEEL_SLOTS - 1
-#: Scheduling horizon the wheel covers; later timers go to the overflow heap.
-WHEEL_HORIZON_NS: int = WHEEL_SLOTS * WHEEL_SLOT_NS
-#: All-ones occupancy mask (one bit per wheel bucket).
-_OCC_ALL: int = (1 << WHEEL_SLOTS) - 1
 #: Compaction threshold: never compact below this many cancelled timers.
 COMPACT_MIN_CANCELLED: int = 64
 #: Upper bound on the Timer free list (memory cap, not a correctness knob).
 FREE_LIST_MAX: int = 512
 
-#: One entry of the ordered structures: ``(when, seq, timer)``.
+#: One heap entry: ``(when, seq, timer)``.
 _Entry = Tuple[int, int, "Timer"]
 
 
@@ -112,7 +82,7 @@ class Timer:
         self.callback = callback
         self.args = args
         self.cancelled = False
-        #: True while the timer sits in one of the kernel's structures.
+        #: True while the timer sits in the kernel's heap.
         self.queued = False
         self.sim = sim
 
@@ -150,44 +120,8 @@ class Simulator:
         self._seq: int = 0
         self._running = False
         self._stopped = False
-        instr, trace, metrics, profiler = _DEFAULT_HUBS
-        #: Instrumentation hubs as kernel-owned state: the process-wide
-        #: defaults unless a test (or a future per-cluster shard) swaps
-        #: them.  Dispatch loops read only these attributes.
-        self._instr = instr
-        self._trace = trace
-        self._metrics = metrics
-        self._profiler = profiler
-        #: Dispatch mode: ``"serial"`` or ``"lookahead"``.
-        self._dispatch = "serial"
-        #: The lookahead window executor when dispatch is ``"lookahead"``.
-        self._executor: Optional[Any] = None
-        #: Active lookahead lane: in-window schedules with ``when <
-        #: _lane_end`` are routed here so they dispatch inside the current
-        #: window in ``(when, seq)`` order (see repro.sim.parallel).
-        self._lane_heap: Optional[List[_Entry]] = None
-        self._lane_end: int = 0
-        #: Set by the lookahead executor for the duration of a window:
-        #: drained-but-unexecuted timers live outside the structures that
-        #: ``_compact`` walks, so compaction is deferred to the barrier.
-        self._defer_compact = False
-        #: Heap of ``(when, seq, timer)`` for the slot being dispatched --
-        #: plus any timer scheduled at or before the cursor slot.
-        self._cur: List[_Entry] = []
-        #: Absolute slot index (``when >> WHEEL_SLOT_SHIFT``) of ``_cur``.
-        self._cur_slot: int = 0
-        #: Ring of unsorted near-future buckets.
-        self._wheel: List[List[Timer]] = [[] for _ in range(WHEEL_SLOTS)]
-        #: Number of timers currently resident in the wheel ring.
-        self._wheel_count: int = 0
-        #: Occupancy bitmask of the ring (bit i set = bucket i non-empty),
-        #: letting the cursor jump to the next occupied bucket instead of
-        #: probing the (mostly empty, for >2 ms timers) slots in between.
-        self._occ: int = 0
-        #: Heap of ``(when, seq, timer)`` beyond the wheel horizon.
-        self._overflow: List[_Entry] = []
-        #: Timers in all structures, including lazily-cancelled ones.
-        self._n_items: int = 0
+        #: Every queued timer, lazily-cancelled ones included.
+        self._heap: List[_Entry] = []
         #: Cancelled-but-not-yet-popped timers (makes pending() O(1)).
         self._n_cancelled: int = 0
         #: Recycled Timer objects awaiting reuse.
@@ -223,13 +157,8 @@ class Simulator:
             timer.cancelled = False
         else:
             timer = Timer(when, seq, callback, args, self)
-        lane = self._lane_heap
-        if lane is not None and when < self._lane_end:
-            timer.queued = True
-            heappush(lane, (when, seq, timer))
-            self._n_items += 1
-        else:
-            self._insert(timer)
+        timer.queued = True
+        heappush(self._heap, (when, seq, timer))
         return timer
 
     def after(self, delay: int, callback: Callable[..., Any], *args: Any) -> Timer:
@@ -259,51 +188,17 @@ class Simulator:
         timer.seq = seq
         self._seq = seq + 1
         timer.cancelled = False
-        lane = self._lane_heap
-        if lane is not None and when < self._lane_end:
-            timer.queued = True
-            heappush(lane, (when, seq, timer))
-            self._n_items += 1
-        else:
-            self._insert(timer)
+        timer.queued = True
+        heappush(self._heap, (when, seq, timer))
         return timer
 
-    def _insert(self, timer: Timer) -> None:
-        """Place a timer in the structure its horizon calls for."""
-        timer.queued = True
-        slot = timer.when >> WHEEL_SLOT_SHIFT
-        delta = slot - self._cur_slot
-        if delta <= 0:
-            # Current slot -- or, between runs, a slot the cursor already
-            # passed; the cur heap orders either case correctly.
-            heappush(self._cur, (timer.when, timer.seq, timer))
-        elif delta < WHEEL_SLOTS:
-            idx = slot & WHEEL_SLOT_MASK
-            self._wheel[idx].append(timer)
-            self._wheel_count += 1
-            self._occ |= 1 << idx
-        else:
-            heappush(self._overflow, (timer.when, timer.seq, timer))
-        self._n_items += 1
-
     def _note_cancel(self) -> None:
-        """Bookkeeping for one queued timer turning cancelled.
-
-        Compaction is deferred while a lookahead window is in flight:
-        drained batch entries and lane heaps live outside the structures
-        ``_compact`` walks, so compacting mid-window would corrupt the
-        item accounting.  The executor calls :meth:`_compact_if_due` at
-        the window barrier instead.
-        """
+        """Bookkeeping for one queued timer turning cancelled; compacts the
+        heap once cancelled timers dominate it."""
         self._n_cancelled += 1
-        if not self._defer_compact:
-            self._compact_if_due()
-
-    def _compact_if_due(self) -> None:
-        """Compact when cancelled timers dominate the queue."""
         if (
             self._n_cancelled >= COMPACT_MIN_CANCELLED
-            and self._n_cancelled * 2 > self._n_items
+            and self._n_cancelled * 2 > len(self._heap)
         ):
             self._compact()
 
@@ -316,81 +211,18 @@ class Simulator:
             free.append(timer)
 
     def _compact(self) -> None:
-        """Drop every cancelled timer from all structures (in place).
-
-        ``self._cur`` is filtered in place so dispatch loops holding a local
-        reference keep seeing the live heap.
-        """
-        cur = self._cur
-        live = [entry for entry in cur if not entry[2].cancelled]
-        if len(live) != len(cur):
-            for entry in cur:
-                if entry[2].cancelled:
-                    self._recycle(entry[2])
-            cur[:] = live
-            heapify(cur)
-        for idx, bucket in enumerate(self._wheel):
-            if not bucket:
-                continue
-            kept = [t for t in bucket if not t.cancelled]
-            if len(kept) != len(bucket):
-                for t in bucket:
-                    if t.cancelled:
-                        self._recycle(t)
-                self._wheel_count -= len(bucket) - len(kept)
-                bucket[:] = kept
-                if not kept:
-                    self._occ &= ~(1 << idx)
-        overflow = self._overflow
-        live = [entry for entry in overflow if not entry[2].cancelled]
-        if len(live) != len(overflow):
-            for entry in overflow:
-                if entry[2].cancelled:
-                    self._recycle(entry[2])
-            overflow[:] = live
-            heapify(overflow)
-        self._n_items -= self._n_cancelled
+        """Drop every cancelled timer from the heap (in place, so dispatch
+        loops holding a local reference keep seeing the live heap)."""
+        heap = self._heap
+        live: List[_Entry] = []
+        for entry in heap:
+            if entry[2].cancelled:
+                self._recycle(entry[2])
+            else:
+                live.append(entry)
+        heap[:] = live
+        heapify(heap)
         self._n_cancelled = 0
-
-    def _advance(self) -> bool:
-        """Move the cursor to the next occupied slot and load it into ``_cur``.
-
-        Called with ``_cur`` empty.  Returns False when no timers remain.
-        """
-        overflow = self._overflow
-        of_slot = (overflow[0][0] >> WHEEL_SLOT_SHIFT) if overflow else -1
-        if self._wheel_count:
-            # Jump straight to the nearest occupied bucket: rotate the
-            # occupancy mask so the search start becomes bit 0, then take
-            # the lowest set bit.  All resident timers sit within one ring
-            # revolution of the cursor, so the offset is unambiguous.
-            start = self._cur_slot + 1
-            r = start & WHEEL_SLOT_MASK
-            occ = self._occ
-            rot = ((occ >> r) | (occ << (WHEEL_SLOTS - r))) & _OCC_ALL
-            s = start + ((rot & -rot).bit_length() - 1)
-            if of_slot < 0 or s <= of_slot:
-                idx = s & WHEEL_SLOT_MASK
-                bucket = self._wheel[idx]
-                self._cur_slot = s
-                self._wheel_count -= len(bucket)
-                self._occ = occ & ~(1 << idx)
-                cur = [(t.when, t.seq, t) for t in bucket]
-                bucket.clear()  # eager slot reuse: keep the list object
-                while overflow and overflow[0][0] >> WHEEL_SLOT_SHIFT == s:
-                    cur.append(heappop(overflow))
-                heapify(cur)
-                self._cur = cur
-                return True
-        if overflow:
-            self._cur_slot = of_slot
-            cur = []
-            while overflow and overflow[0][0] >> WHEEL_SLOT_SHIFT == of_slot:
-                cur.append(heappop(overflow))
-            heapify(cur)
-            self._cur = cur
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # event loop
@@ -400,49 +232,6 @@ class Simulator:
         """Request the running loop to stop after the current callback."""
         self._stopped = True
 
-    @property
-    def dispatch(self) -> str:
-        """The configured dispatch mode: ``"serial"`` or ``"lookahead"``."""
-        return self._dispatch
-
-    def configure_dispatch(
-        self,
-        dispatch: str = "serial",
-        *,
-        workers: int = 1,
-        clusters: Optional[Any] = None,
-        horizon_ns: Optional[int] = None,
-    ) -> None:
-        """Select the dispatch engine for subsequent :meth:`run` calls.
-
-        :param dispatch: ``"serial"`` (the classic loops) or
-            ``"lookahead"`` (conservative-lookahead windowed dispatch, see
-            :mod:`repro.sim.parallel`).
-        :param workers: lane worker threads for lookahead dispatch;
-            ``1`` runs lanes inline.
-        :param clusters: a :class:`repro.sim.cluster.ClusterMap`
-            partitioning node addresses; ``None`` treats the whole
-            simulation as one cluster (windowed but never reordered).
-        :param horizon_ns: conservative lookahead horizon; defaults to
-            :data:`repro.sim.parallel.DEFAULT_HORIZON_NS`.  Must not
-            exceed the minimum cross-cluster interaction latency of the
-            scenario (the runner passes the connection interval).
-        """
-        if self._running:
-            raise SimulationError("cannot reconfigure dispatch while running")
-        if dispatch not in ("serial", "lookahead"):
-            raise SimulationError(f"unknown dispatch mode {dispatch!r}")
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-        self._dispatch = dispatch
-        if dispatch == "lookahead":
-            from repro.sim.parallel import LookaheadExecutor
-
-            self._executor = LookaheadExecutor(
-                self, clusters=clusters, horizon_ns=horizon_ns, workers=workers
-            )
-
     def run(self, until: Optional[int] = None) -> int:
         """Run the event loop.
 
@@ -451,33 +240,24 @@ class Simulator:
             ``until`` (if given) or the time of the last executed event.
         :returns: the number of callbacks executed during this call.
 
-        One of several specialized dispatch loops is selected here based on
-        which instrumentation hubs are enabled, so the common uninstrumented
-        run pays zero per-event predicate cascade; the selection is redone
-        whenever a hub toggles (see :mod:`repro.obs.instr`).
+        The uninstrumented run gets its own dispatch loop, so it pays no
+        per-event hub check; the loop is re-selected whenever a hub
+        toggles (see :mod:`repro.obs.instr`).
         """
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
         self._stopped = False
         executed = 0
-        instr = self._instr
         try:
-            if self._executor is not None:
-                # Lookahead dispatch: the executor re-reads hub state at
-                # every window boundary, so no re-selection loop is needed.
-                executed = self._executor.run(until)
-            else:
-                while True:
-                    version = instr.version
-                    if self._trace.enabled or self._metrics.enabled:
-                        executed += self._loop_instrumented(until, version)
-                    elif self._profiler.enabled:
-                        executed += self._loop_profiled(until, version)
-                    else:
-                        executed += self._loop_plain(until, version)
-                    if instr.version == version:
-                        break  # the loop returned because it is actually done
+            while True:
+                version = INSTR.version
+                if TRACE.enabled or METRICS.enabled or PROFILER.enabled:
+                    executed += self._loop_instrumented(until, version)
+                else:
+                    executed += self._loop_plain(until, version)
+                if INSTR.version == version:
+                    break  # the loop returned because it is actually done
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
         finally:
@@ -488,139 +268,90 @@ class Simulator:
     def _loop_plain(self, until: Optional[int], version: int) -> int:
         """Dispatch with no instrumentation enabled (the fast path)."""
         executed = 0
-        instr = self._instr
-        cur = self._cur
-        while not self._stopped and instr.version == version:
-            if not cur:
-                if not self._advance():
-                    break
-                cur = self._cur
-                continue
-            entry = cur[0]
+        instr = INSTR
+        heap = self._heap
+        while heap and not self._stopped and instr.version == version:
+            entry = heappop(heap)
             timer = entry[2]
             if timer.cancelled:
-                heappop(cur)
-                self._n_items -= 1
                 self._n_cancelled -= 1
                 self._recycle(timer)
                 continue
             when = entry[0]
             if until is not None and when >= until:
+                heappush(heap, entry)
                 break
-            heappop(cur)
-            self._n_items -= 1
             timer.queued = False
             self._now = when
             timer.callback(*timer.args)
             executed += 1
         return executed
 
-    def _loop_profiled(self, until: Optional[int], version: int) -> int:
-        """Dispatch with only the wall-clock profiler enabled.
+    def _loop_instrumented(self, until: Optional[int], version: int) -> int:
+        """Dispatch with tracing, metrics and/or the wall-clock profiler.
 
-        Attribution is batched in loop-local dicts keyed by the callback
+        A hub toggle bumps the instrumentation version, which ends this
+        loop after the current callback; only the metrics check follows
+        the callback, so it is re-read per event.  Profiler
+        attribution is batched in loop-local dicts keyed by the callback
         object (stable across ``rearm``) and flushed into the profiler via
         :meth:`Profiler.record_bulk` when the loop exits -- one dict update
         per event instead of a ``record`` call.
         """
         executed = 0
-        instr = self._instr
-        profiler = self._profiler
-        record = profiler.record
+        instr = INSTR
+        trace = TRACE if TRACE.enabled else None
+        metrics = METRICS
+        profiling = PROFILER.enabled
         rec_counts: dict = {}
         rec_times: dict = {}
-        cur = self._cur
+        heap = self._heap
         try:
-            while not self._stopped and instr.version == version:
-                if not cur:
-                    if not self._advance():
-                        break
-                    cur = self._cur
-                    continue
-                entry = cur[0]
+            while heap and not self._stopped and instr.version == version:
+                entry = heappop(heap)
                 timer = entry[2]
                 if timer.cancelled:
-                    heappop(cur)
-                    self._n_items -= 1
                     self._n_cancelled -= 1
                     self._recycle(timer)
                     continue
                 when = entry[0]
                 if until is not None and when >= until:
+                    heappush(heap, entry)
                     break
-                heappop(cur)
-                self._n_items -= 1
                 timer.queued = False
                 self._now = when
                 callback = timer.callback
-                # simlint: allow-wallclock -- profiler attribution only; the
-                # measured wall seconds stay in profile.json.
-                t0 = perf_counter()
-                callback(*timer.args)
-                dt = perf_counter() - t0  # simlint: allow-wallclock -- profiler hook
-                try:
-                    if callback in rec_times:
-                        rec_times[callback] += dt
-                        rec_counts[callback] += 1
-                    else:
-                        rec_times[callback] = dt
-                        rec_counts[callback] = 1
-                except TypeError:  # unhashable callable
-                    record(callback, dt)
+                if trace is not None:
+                    trace.emit(
+                        when,
+                        "kernel",
+                        "dispatch",
+                        timer_seq=timer.seq,
+                        callback=callback_name(callback),
+                    )
+                if profiling:
+                    # simlint: allow-wallclock -- profiler attribution only;
+                    # the measured wall seconds stay in profile.json.
+                    t0 = perf_counter()
+                    callback(*timer.args)
+                    dt = perf_counter() - t0  # simlint: allow-wallclock -- profiler hook
+                    try:
+                        if callback in rec_times:
+                            rec_times[callback] += dt
+                            rec_counts[callback] += 1
+                        else:
+                            rec_times[callback] = dt
+                            rec_counts[callback] = 1
+                    except TypeError:  # unhashable callable
+                        PROFILER.record(callback, dt)
+                else:
+                    callback(*timer.args)
                 executed += 1
+                if metrics.enabled:
+                    metrics.inc("sim", "kernel.events_dispatched")
         finally:
             for callback, total in rec_times.items():
-                profiler.record_bulk(callback, rec_counts[callback], total)
-        return executed
-
-    def _loop_instrumented(self, until: Optional[int], version: int) -> int:
-        """Dispatch with tracing and/or metrics (and maybe the profiler)."""
-        executed = 0
-        instr = self._instr
-        trace = self._trace
-        metrics = self._metrics
-        profiler = self._profiler
-        cur = self._cur
-        while not self._stopped and instr.version == version:
-            if not cur:
-                if not self._advance():
-                    break
-                cur = self._cur
-                continue
-            entry = cur[0]
-            timer = entry[2]
-            if timer.cancelled:
-                heappop(cur)
-                self._n_items -= 1
-                self._n_cancelled -= 1
-                self._recycle(timer)
-                continue
-            when = entry[0]
-            if until is not None and when >= until:
-                break
-            heappop(cur)
-            self._n_items -= 1
-            timer.queued = False
-            self._now = when
-            if trace.enabled:
-                trace.emit(
-                    when,
-                    "kernel",
-                    "dispatch",
-                    timer_seq=timer.seq,
-                    callback=callback_name(timer.callback),
-                )
-            if profiler.enabled:
-                # simlint: allow-wallclock -- profiler attribution only;
-                # the measured wall seconds stay in profile.json.
-                t0 = perf_counter()
-                timer.callback(*timer.args)
-                profiler.record(timer.callback, perf_counter() - t0)  # simlint: allow-wallclock -- profiler hook
-            else:
-                timer.callback(*timer.args)
-            executed += 1
-            if metrics.enabled:
-                metrics.inc("sim", "kernel.events_dispatched")
+                PROFILER.record_bulk(callback, rec_counts[callback], total)
         return executed
 
     # ------------------------------------------------------------------
@@ -629,21 +360,15 @@ class Simulator:
 
     def peek(self) -> Optional[int]:
         """Return the timestamp of the next pending event, or ``None``."""
-        cur = self._cur
-        while cur and cur[0][2].cancelled:
-            entry = heappop(cur)
-            self._n_items -= 1
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
             self._n_cancelled -= 1
-            self._recycle(entry[2])
-        if not cur:
-            if not self._advance():
-                return None
-            return self.peek()
-        return cur[0][0]
+            self._recycle(heappop(heap)[2])
+        return heap[0][0] if heap else None
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue (O(1))."""
-        return self._n_items - self._n_cancelled
+        return len(self._heap) - self._n_cancelled
 
     def queue_depth(self) -> int:
         """Queued timers including lazily-deleted ones (O(1)).
@@ -651,4 +376,4 @@ class Simulator:
         The cancelled-inclusive sibling of :meth:`pending`: it bounds
         :meth:`pending` from above and tracks memory pressure.
         """
-        return self._n_items
+        return len(self._heap)

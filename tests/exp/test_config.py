@@ -90,6 +90,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_yaml("foo: bar")
 
+    def test_yaml_kernel_block_is_rejected_as_removed(self):
+        text = ExperimentConfig().to_yaml() + "  kernel:\n    dispatch: serial\n"
+        with pytest.raises(ValueError, match="kernel: block was removed"):
+            ExperimentConfig.from_yaml(text)
+
 
 class TestCanonicalSerialization:
     """Cache keys must be bit-stable (see repro.exp.cache)."""
@@ -99,7 +104,7 @@ class TestCanonicalSerialization:
     #: serialization regressed (fix it): every on-disk cache is invalidated
     #: either way, which must be a deliberate decision.
     GOLDEN_DEFAULT_HASH = (
-        "f4f01f1dbc6f47e6d78dd7afea6a8a8982a53e1123e969cec9d6d9ba5a88031c"
+        "482e6aaefe38e475f5b9bdef337f0f192c859f5996bc2c7bbb6e485bfe5255c0"
     )
 
     def test_default_config_hash_is_golden_constant(self):

@@ -1,19 +1,15 @@
-"""Unit tests for the timer-wheel kernel's bookkeeping.
+"""Unit tests for the event-heap kernel's bookkeeping.
 
-Covers the PR-introduced surfaces: O(1) :meth:`pending`, compaction once
-cancelled timers dominate, :meth:`rearm` object reuse, the Timer free list,
-and placement across the wheel's three storage classes.
+Covers O(1) :meth:`pending`, compaction once cancelled timers dominate,
+:meth:`rearm` object reuse, the Timer free list, and cancellation.
 """
 
 import pytest
 
-from repro.sim.kernel import (
-    COMPACT_MIN_CANCELLED,
-    WHEEL_HORIZON_NS,
-    WHEEL_SLOT_NS,
-    SimulationError,
-    Simulator,
-)
+from repro.sim.kernel import COMPACT_MIN_CANCELLED, SimulationError, Simulator
+
+#: A near-future offset (~2.1 ms).
+SLOT_NS = 1 << 21
 
 
 def test_pending_is_live_count():
@@ -32,10 +28,8 @@ def test_pending_is_live_count():
 def test_compaction_reclaims_cancelled_timers():
     sim = Simulator()
     n = 3 * COMPACT_MIN_CANCELLED
-    # Spread across current slot, wheel, and overflow so every structure
-    # gets compacted.
     handles = [
-        sim.at((i % 7) * WHEEL_SLOT_NS * 3 + i, lambda: None) for i in range(n)
+        sim.at((i % 7) * SLOT_NS * 3 + i, lambda: None) for i in range(n)
     ]
     keep = handles[:: 3]
     for handle in handles:
@@ -109,42 +103,26 @@ def test_fired_timers_are_not_recycled():
     assert fired == [1, 2]
 
 
-def test_placement_spans_slot_wheel_and_overflow():
-    """Timers land correctly wherever their horizon puts them."""
+def test_cancel_skips_only_the_cancelled_timer():
     sim = Simulator()
     fired = []
-    whens = [
-        0,                          # current slot
-        WHEEL_SLOT_NS // 2,         # current slot (same bucket as cursor)
-        WHEEL_SLOT_NS + 3,          # near-future wheel bucket
-        WHEEL_HORIZON_NS - 1,       # last wheel bucket
-        WHEEL_HORIZON_NS + 5,       # overflow heap
-        9 * WHEEL_HORIZON_NS,       # deep overflow
-    ]
-    for when in whens:
-        sim.at(when, fired.append, when)
-    sim.run()
-    assert fired == sorted(whens)
-    assert sim.pending() == 0
-
-
-def test_cancel_inside_wheel_bucket_before_slot_loads():
-    sim = Simulator()
-    fired = []
-    victim = sim.at(5 * WHEEL_SLOT_NS, fired.append, "victim")
-    sim.at(5 * WHEEL_SLOT_NS + 1, fired.append, "kept")
+    victim = sim.at(5 * SLOT_NS, fired.append, "victim")
+    sim.at(5 * SLOT_NS + 1, fired.append, "kept")
     victim.cancel()
     sim.run()
     assert fired == ["kept"]
 
 
-def test_schedule_behind_cursor_slot_between_runs():
-    """After run(until=...) parks now mid-slot, an ``at`` for the same slot
-    must still fire (the delta<=0 heap path)."""
+def test_horizon_stop_keeps_the_next_timer_queued():
+    """A run that stops at its horizon leaves the first timer at or past it
+    queued and counted: it fires on the next run, still before a same-time
+    timer scheduled between the runs."""
     sim = Simulator()
     fired = []
-    sim.at(10 * WHEEL_SLOT_NS, fired.append, "first")
-    sim.run(until=10 * WHEEL_SLOT_NS + 10)
-    sim.at(10 * WHEEL_SLOT_NS + 20, fired.append, "same-slot")
+    sim.at(10 * SLOT_NS, fired.append, "first")
+    assert sim.run(until=10 * SLOT_NS) == 0
+    assert sim.pending() == 1
+    sim.at(10 * SLOT_NS, fired.append, "second")
     sim.run()
-    assert fired == ["first", "same-slot"]
+    assert fired == ["first", "second"]
+    assert sim.pending() == 0

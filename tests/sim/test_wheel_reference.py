@@ -1,11 +1,12 @@
-"""Timer-wheel kernel vs a reference heap kernel: identical dispatch.
+"""Kernel vs a reference heap kernel: identical dispatch.
 
-The hierarchical wheel only changes *where* a timer waits, never *when* it
-fires: dispatch order must stay strictly ``(when, seq)`` -- byte-identical
-traces depend on it.  These property-style tests drive the same randomized
-schedule/cancel/rearm/run workload through :class:`repro.sim.kernel.
-Simulator` and through a deliberately naive single-heap kernel, and assert
-the two dispatch logs, clocks, and pending counts never diverge.
+The kernel's free list, ``rearm`` object reuse and counted compaction must
+never change *when* a timer fires: dispatch order must stay strictly
+``(when, seq)`` -- byte-identical traces depend on it.  These
+property-style tests drive the same randomized schedule/cancel/rearm/run
+workload through :class:`repro.sim.kernel.Simulator` and through a
+deliberately naive single-heap kernel, and assert the two dispatch logs,
+clocks, and pending counts never diverge.
 
 The reference kernel and the workload live in ``tests/support/lockstep.py``
 (shared with the spatial-medium differential suite).
@@ -15,8 +16,9 @@ import random
 
 import pytest
 
-from repro.sim.kernel import WHEEL_HORIZON_NS, Simulator
+from repro.sim.kernel import Simulator
 from tests.support.lockstep import (
+    HORIZON_NS,
     ReferenceKernel,
     TimerWorkload,
     assert_logs_identical,
@@ -26,35 +28,35 @@ from tests.support.lockstep import (
 @pytest.mark.parametrize("seed", range(12))
 def test_wheel_matches_reference_heap(seed):
     """Same workload, same dispatch log, clock, and pending count."""
-    wheel = TimerWorkload(Simulator(), seed)
+    kernel = TimerWorkload(Simulator(), seed)
     ref = TimerWorkload(ReferenceKernel(), seed)
-    wheel_log = wheel.play()
+    kernel_log = kernel.play()
     ref_log = ref.play()
-    assert_logs_identical(wheel_log, ref_log, "wheel", "reference")
-    assert wheel.sim.now == ref.sim.now
-    assert wheel.sim.pending() == ref.sim.pending()
-    assert len(wheel_log) > 100  # the workload must actually exercise things
+    assert_logs_identical(kernel_log, ref_log, "kernel", "reference")
+    assert kernel.sim.now == ref.sim.now
+    assert kernel.sim.pending() == ref.sim.pending()
+    assert len(kernel_log) > 100  # the workload must actually exercise things
 
 
 @pytest.mark.parametrize("seed", range(12, 18))
 def test_wheel_matches_reference_under_horizon_runs(seed):
-    """Short run horizons that stop inside empty wheel stretches."""
+    """Short run horizons that stop between sparse timers."""
     rng = random.Random(seed)
     sim = Simulator()
     ref = ReferenceKernel()
     log_a, log_b = [], []
     for i in range(150):
-        when = rng.randrange(0, 5 * WHEEL_HORIZON_NS)
+        when = rng.randrange(0, 5 * HORIZON_NS)
         sim.at(when, log_a.append, (when, i))
         ref.at(when, log_b.append, (when, i))
     horizon = 0
-    while horizon < 5 * WHEEL_HORIZON_NS:
-        horizon += rng.randrange(1, WHEEL_HORIZON_NS)
+    while horizon < 5 * HORIZON_NS:
+        horizon += rng.randrange(1, HORIZON_NS)
         sim.run(until=horizon)
         ref.run(until=horizon)
         assert sim.now == ref.now
-        assert_logs_identical(log_a, log_b, "wheel", "reference")
+        assert_logs_identical(log_a, log_b, "kernel", "reference")
     sim.run()
     ref.run()
-    assert_logs_identical(log_a, log_b, "wheel", "reference")
+    assert_logs_identical(log_a, log_b, "kernel", "reference")
     assert len(log_a) == 150
