@@ -72,6 +72,12 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="print one rule's rationale/example/suppression page and exit",
     )
     parser.add_argument(
+        "--shared-state-report",
+        default=None,
+        metavar="FILE",
+        help="write the SL009 shared-state survey (JSON) to FILE ('-' for stdout)",
+    )
+    parser.add_argument(
         "--cache",
         default=None,
         metavar="FILE",
@@ -107,6 +113,25 @@ def _render_text(
     stream.write(summary + "\n")
 
 
+def _write_shared_state_report(
+    targets: List[Path], destination: str, out: TextIO
+) -> None:
+    """Emit the SL009 survey (module globals + instance state) as JSON."""
+    from repro.lint.core import build_project
+    from repro.lint.purity import compute_shared_state
+
+    report = compute_shared_state(build_project(targets)).report()
+    text = json.dumps(report, indent=2) + "\n"
+    if destination == "-":
+        out.write(text)
+    else:
+        Path(destination).write_text(text, encoding="utf-8")
+        print(
+            f"simlint: shared-state report written to {destination}",
+            file=sys.stderr,
+        )
+
+
 def run_lint(args: argparse.Namespace, stream: Optional[TextIO] = None) -> int:
     """Execute the lint subcommand; returns the process exit code."""
     out = stream if stream is not None else sys.stdout
@@ -127,6 +152,11 @@ def run_lint(args: argparse.Namespace, stream: Optional[TextIO] = None) -> int:
     if missing:
         print(f"simlint: no such path(s): {', '.join(missing)}", file=sys.stderr)
         return 2
+
+    if args.shared_state_report:
+        _write_shared_state_report(targets, args.shared_state_report, out)
+        if args.shared_state_report == "-":
+            return 0  # report-only mode: keep stdout pure JSON
 
     findings: Optional[List[Finding]] = None
     cache_key: Optional[str] = None

@@ -161,6 +161,8 @@ class Suppressions:
 
     #: line (1-based) -> set of suppressed rule codes on that line.
     by_line: dict[int, set[str]] = field(default_factory=dict)
+    #: line (1-based) -> the mandatory reason text (feeds the SL009 report).
+    reasons: dict[int, str] = field(default_factory=dict)
     #: engine findings about the suppressions themselves (missing reason, ...).
     problems: list[Finding] = field(default_factory=list)
 
@@ -254,13 +256,16 @@ def parse_suppressions(
             codes.add(code)
         if not ok or not codes:
             continue
+        reason = match.group("reason") or ""
         out.by_line.setdefault(lineno, set()).update(codes)
+        out.reasons.setdefault(lineno, reason)
         if standalone:
             # standalone comment: covers the code line it annotates, skipping
             # over the rest of the comment block and any blank lines.
             j = lineno + 1
             while j <= len(ctx.lines):
                 out.by_line.setdefault(j, set()).update(codes)
+                out.reasons.setdefault(j, reason)
                 stripped = ctx.lines[j - 1].strip()
                 if stripped and not stripped.startswith("#"):
                     break
@@ -391,6 +396,27 @@ def iter_python_files(paths: Iterable[Path | str]) -> Iterator[Path]:
             yield entry
 
 
+def build_project(paths: Iterable[Path | str]) -> "Project":
+    """Parse every file under ``paths`` into one whole-program Project.
+
+    Used by ``--shared-state-report`` (and tests) to run the analyses
+    without collecting findings; unparseable files are skipped.
+    """
+    from repro.lint.graph import Project
+
+    contexts: list[FileContext] = []
+    for file in iter_python_files(paths):
+        ctx, _ = _parse_context(
+            Path(file).read_text(encoding="utf-8"), Path(file), module_name_for(file)
+        )
+        if ctx is not None:
+            contexts.append(ctx)
+    project = Project.from_contexts(contexts)
+    for ctx in contexts:
+        ctx.project = project
+    return project
+
+
 def lint_paths(
     paths: Iterable[Path | str], *, rules: Optional[Iterable["Rule"]] = None
 ) -> list[Finding]:
@@ -399,7 +425,7 @@ def lint_paths(
     All files parse first, one :class:`~repro.lint.graph.Project` is built
     over the whole set, and every rule then sees each file with the shared
     whole-program context -- this is what lets SL001/SL002/SL005 taint flow
-    across modules and SL008 prove guards through helper chains.
+    across modules and SL009 trace reachability from the kernel.
     """
     from repro.lint.graph import Project
 

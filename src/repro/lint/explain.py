@@ -185,6 +185,29 @@ _E: Dict[str, Explanation] = {
             "Escape hatch: # simlint: allow-instr-guard -- <reason>"
         ),
     ),
+    "SL009": Explanation(
+        rationale=(
+            "Experiments run back to back in one process (the sweep\n"
+            "engine's in-process path, perfbench's seed cycle); any\n"
+            "module-level mutable object reachable from Simulator dispatch\n"
+            "carries state from one run into the next, so a result would\n"
+            "depend on what ran before it in that process.  Every such\n"
+            "global must be made immutable, moved into per-run state, or\n"
+            "explicitly sanctioned; --shared-state-report emits the full\n"
+            "machine-readable survey (including per-class mutable instance\n"
+            "state in repro.sim.kernel and repro.ble)."
+        ),
+        example=(
+            "    _CACHE = {}                # SL009 if dispatch-reachable\n"
+            "    def lookup(k):\n"
+            "        return _CACHE.get(k)"
+        ),
+        fix=(
+            "Prefer immutability (tuple/frozenset/Mapping) or per-run state;\n"
+            "otherwise sanction with the mandatory reason:\n"
+            "    # simlint: allow-shared-state -- <why it cannot leak>"
+        ),
+    ),
 }
 
 

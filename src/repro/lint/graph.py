@@ -14,9 +14,9 @@ edges it can resolve with high confidence --
 * ``functools.partial`` wrapping (a ``partial(f, ...)`` counts as an edge
   to ``f``: the wrapped callable runs with the creator's data flow), and
 * bare function references passed as call arguments (``sim.at(when, cb)``)
-  as weaker ``ref`` edges -- they void SL008's delegated-guard proof but
-  carry no taint, since a registered callback executes in the
-  dispatcher's context, not the registrar's.
+  as weaker ``ref`` edges -- used for reachability (SL009) but not for
+  taint, since a registered callback executes in the dispatcher's context,
+  not the registrar's.
 
 Everything is keyed by dotted *qualnames* (``repro.ble.conn.Connection.
 _tick``) and iterated in sorted order, so downstream fixpoints -- the

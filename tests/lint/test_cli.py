@@ -53,7 +53,7 @@ class TestFormats:
         doc = json.loads(proc.stdout)
         assert doc["schema"] == "repro.lint.report/1"
         found = {f["code"] for f in doc["findings"]}
-        assert found == {f"SL00{i}" for i in range(1, 9)}
+        assert found == {f"SL00{i}" for i in range(1, 10)}
         for finding in doc["findings"]:
             assert finding["fingerprint"]
             assert finding["line"] >= 1
@@ -66,7 +66,7 @@ class TestFormats:
     def test_list_rules(self):
         proc = run_lint("--list-rules")
         assert proc.returncode == 0
-        for i in range(1, 9):
+        for i in range(1, 10):
             assert f"SL00{i}" in proc.stdout
 
     def test_sarif_format_is_valid(self):
@@ -76,7 +76,7 @@ class TestFormats:
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert rule_ids == {f"SL00{i}" for i in range(1, 9)}
+        assert rule_ids == {f"SL00{i}" for i in range(1, 10)}
         result = run["results"][0]
         assert result["ruleId"] == "SL001"
         assert result["partialFingerprints"]["simlint/v1"]
@@ -93,7 +93,7 @@ class TestFormats:
 
 class TestExplain:
     def test_every_rule_has_an_explain_page(self):
-        for i in range(1, 9):
+        for i in range(1, 10):
             code = f"SL00{i}"
             proc = run_lint("--explain", code)
             assert proc.returncode == 0, proc.stderr
@@ -111,6 +111,24 @@ class TestExplain:
         proc = run_lint("--explain", "SL099")
         assert proc.returncode == 2
         assert "unknown rule" in proc.stderr
+
+
+class TestSharedStateReport:
+    def test_stdout_report_is_pure_json(self):
+        proc = run_lint(str(FIXTURES / "sl009_shared.py"), "--shared-state-report", "-")
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["schema"] == "repro.lint.shared-state/1"
+        assert any(e["qualname"].endswith("_ROUTE_CACHE") for e in doc["globals"])
+
+    def test_file_report_coexists_with_findings(self, tmp_path):
+        report = tmp_path / "shared.json"
+        proc = run_lint(
+            str(FIXTURES / "sl009_shared.py"), "--shared-state-report", str(report)
+        )
+        assert proc.returncode == 1  # the fixture still fails the lint
+        doc = json.loads(report.read_text())
+        assert doc["schema"] == "repro.lint.shared-state/1"
 
 
 class TestCache:

@@ -1,4 +1,4 @@
-"""SL008 guard proofs and mutation tests.
+"""SL008 guard proofs, SL009 shared-state inventory, and mutation tests.
 
 The mutation tests are the teeth of the new rules: they lint *real repo
 source* with one safety property surgically broken and assert the rule
@@ -6,13 +6,14 @@ catches it, alongside the unmutated precondition staying clean.
 """
 
 import ast
+import json
 import textwrap
 from pathlib import Path
 
 from repro.lint import lint_source
 from repro.lint.core import FileContext
 from repro.lint.graph import Project
-from repro.lint.purity import compute_guards, is_hot_module
+from repro.lint.purity import compute_guards, compute_shared_state, is_hot_module
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -216,6 +217,137 @@ class TestDelegatedGuards:
 
 
 # ---------------------------------------------------------------------------
+# SL009: shared mutable state
+# ---------------------------------------------------------------------------
+
+
+def violations(project, module):
+    return list(compute_shared_state(project).violations(module))
+
+
+class TestSharedState:
+    def test_referenced_mutable_global_fires(self):
+        p = project_of(
+            m="""
+            _ROUTE_CACHE = {}
+
+            def lookup(dest):
+                return _ROUTE_CACHE.get(dest)
+            """
+        )
+        found = violations(p, "m")
+        assert len(found) == 1
+        assert found[0].qualname == "m._ROUTE_CACHE"
+        assert found[0].value_type == "dict literal"
+
+    def test_sanctioned_global_is_recorded_not_flagged(self):
+        p = project_of(
+            m="""
+            # simlint: allow-shared-state -- test sanction reason
+            _ROUTE_CACHE = {}
+
+            def lookup(dest):
+                return _ROUTE_CACHE.get(dest)
+            """
+        )
+        assert violations(p, "m") == []
+        entries = [
+            e for e in compute_shared_state(p).globals if e.qualname == "m._ROUTE_CACHE"
+        ]
+        assert entries[0].sanctioned
+        assert entries[0].reason == "test sanction reason"
+
+    def test_unreferenced_global_is_inventory_only(self):
+        p = project_of(m="_TABLE = []\n\ndef f():\n    return 1\n")
+        assert violations(p, "m") == []
+        entries = compute_shared_state(p).globals
+        assert [e.qualname for e in entries] == ["m._TABLE"]
+        assert not entries[0].dispatch_reachable
+
+    def test_immutable_globals_are_ignored(self):
+        p = project_of(
+            m="""
+            LIMIT = 10
+            NAMES = ("a", "b")
+            FROZEN = frozenset({1})
+
+            def f():
+                return LIMIT, NAMES, FROZEN
+            """
+        )
+        assert compute_shared_state(p).globals == []
+
+    def test_kernel_rooted_reachability(self):
+        p = project_of(
+            **{
+                "repro.sim.kernel": """
+                from a import hot_fn
+
+                def dispatch():
+                    hot_fn()
+                """,
+                "a": """
+                _HOT = {}
+
+                def hot_fn():
+                    _HOT[1] = 2
+                """,
+                "b": """
+                _COLD = {}
+
+                def cold_fn():
+                    _COLD[1] = 2
+                """,
+            }
+        )
+        assert [e.qualname for e in violations(p, "a")] == ["a._HOT"]
+        assert violations(p, "b") == []
+
+    def test_partial_repro_slice_without_kernel_stays_silent(self):
+        # a pre-commit run on changed files cannot see the dispatch path;
+        # it must not fall back to treating every function as reachable.
+        p = project_of(
+            **{
+                "repro.lint.units": """
+                SUFFIXES = {"_ns": "ns"}
+
+                def suffix_unit(name):
+                    return SUFFIXES.get(name[-3:])
+                """
+            }
+        )
+        assert violations(p, "repro.lint.units") == []
+
+    def test_instance_state_inventoried_in_scope(self):
+        p = project_of(
+            **{
+                "repro.ble.thing": """
+                class Link:
+                    def __init__(self):
+                        self.pending = []
+                """,
+                "repro.exp.other": """
+                class Out:
+                    def __init__(self):
+                        self.rows = []
+                """,
+            }
+        )
+        attrs = [e.qualname for e in compute_shared_state(p).instance_attrs]
+        assert attrs == ["repro.ble.thing.Link.pending"]
+
+    def test_report_is_deterministic(self):
+        src = {
+            "m": "_C = {}\n\ndef f():\n    return _C\n",
+            "repro.ble.x": "class K:\n    def __init__(self):\n        self.q = []\n",
+        }
+        first = json.dumps(compute_shared_state(project_of(**src)).report())
+        second = json.dumps(compute_shared_state(project_of(**src)).report())
+        assert first == second
+        assert json.loads(first)["schema"] == "repro.lint.shared-state/1"
+
+
+# ---------------------------------------------------------------------------
 # Mutation tests: real repo source with one safety property broken
 # ---------------------------------------------------------------------------
 
@@ -247,3 +379,85 @@ class TestMutations:
         mutated = original.replace(anchor, "cfg.max_event_len_ms * SEC", 1)
         codes = {f.code for f in lint_repo_source("exp/runner.py", mutated)}
         assert "SL007" in codes
+
+    def test_sl009_fires_when_metrics_sanction_removed(self):
+        """The real repo source carries *no* SL009 sanction anymore: the
+        instance-hub refactor (``repro.sim.kernel._DEFAULT_HUBS``) took the
+        hub singletons out of every dispatch-reachable function, and the
+        suppressions were deleted with it.  The rule must still have teeth,
+        so rebuild the old world here: a kernel that names ``METRICS`` from
+        its dispatch loop, against a sanctioned copy of the real source --
+        and assert stripping the sanction fires SL009."""
+        original = repo_source("obs/registry.py")
+        anchor = "METRICS = MetricsHub()"
+        assert anchor in original, "mutation anchor moved -- update the test"
+        assert "allow-shared-state" not in original, (
+            "registry.py regrew an SL009 sanction -- if the hub became "
+            "dispatch-reachable again, update the burn-down story here"
+        )
+        sanctioned = original.replace(
+            anchor,
+            "# simlint: allow-shared-state -- hub singleton (test)\n" + anchor,
+            1,
+        )
+        kernel = ctx_for(
+            "repro.sim.kernel",
+            """
+            from repro.obs.registry import METRICS
+
+            def dispatch():
+                if METRICS.enabled:
+                    METRICS.inc("n", "k")
+            """,
+        )
+
+        def registry_ctx(source):
+            return FileContext(
+                path=SRC / "obs/registry.py",
+                module="repro.obs.registry",
+                source=source,
+                lines=source.splitlines(),
+                tree=ast.parse(source),
+            )
+
+        clean = Project.from_contexts([registry_ctx(sanctioned), kernel])
+        assert violations(clean, "repro.obs.registry") == []
+
+        broken = Project.from_contexts([registry_ctx(original), kernel])
+        found = violations(broken, "repro.obs.registry")
+        assert [e.qualname for e in found] == ["repro.obs.registry.METRICS"]
+
+    def test_sl009_hub_singletons_are_dispatch_unreachable_in_repo(self):
+        """The burn-down's end state, pinned: with the *real* kernel source
+        in the project, none of the four hub singletons is referenced from
+        a dispatch-reachable function, so none needs a sanction."""
+        rels = {
+            "sim/kernel.py": "repro.sim.kernel",
+            "obs/instr.py": "repro.obs.instr",
+            "obs/registry.py": "repro.obs.registry",
+            "obs/profiler.py": "repro.obs.profiler",
+            "trace/tracer.py": "repro.trace.tracer",
+        }
+        contexts = [
+            FileContext(
+                path=SRC / rel,
+                module=module,
+                source=repo_source(rel),
+                lines=repo_source(rel).splitlines(),
+                tree=ast.parse(repo_source(rel)),
+            )
+            for rel, module in rels.items()
+        ]
+        project = Project.from_contexts(contexts)
+        state = compute_shared_state(project)
+        hubs = {
+            "repro.obs.instr.INSTR",
+            "repro.obs.registry.METRICS",
+            "repro.obs.profiler.PROFILER",
+            "repro.trace.tracer.TRACE",
+        }
+        rows = {e.qualname: e for e in state.globals if e.qualname in hubs}
+        assert set(rows) == hubs
+        for qualname, entry in sorted(rows.items()):
+            assert not entry.dispatch_reachable, qualname
+            assert not entry.sanctioned, qualname

@@ -1,398 +1,422 @@
-"""Lookahead-parallel dispatch vs the serial kernel: lockstep equivalence.
+"""Window-boundary and instrumentation-switch equivalence of the kernel.
 
-The conservative-lookahead executor (``repro.sim.parallel``) re-implements
-the kernel's dispatch loop as windowed, cluster-partitioned lanes.  Its
-contract, asserted differentially here with the shared lockstep
-scaffolding:
+These cases once compared a lookahead-parallel executor with serial
+dispatch.  That executor is gone; the same workloads now pin the one
+kernel that remains, :class:`repro.sim.kernel.Simulator`, against the
+deliberately naive :class:`tests.support.lockstep.ReferenceKernel`:
 
-* **single cluster / merged windows**: dispatch is byte-identical to the
-  serial kernel -- same log, same clock, same pending count, and (with
-  TRACE armed) the same JSONL trace byte-for-byte;
-* **multi-cluster uninstrumented windows**: each cluster observes exactly
-  its serial subsequence, and global-lane timers cut windows without ever
-  losing, duplicating, or reordering a timer;
-* the equivalence harness itself has teeth: a deliberately broken window
-  merge (mutation) must be caught by the same assertions.
-
-:class:`tests.support.lockstep.ParallelWorkload` pins its offsets to the
-lookahead horizon boundary (``horizon - 1`` / ``horizon`` /
-``horizon + 1``), the off-by-one territory where a wrong window cut or
-in-window lane routing comparison diverges first.
+* grouped workloads whose offsets sit on a window boundary
+  (``horizon - 1`` / ``horizon`` / ``horizon + 1``) plus an ownerless
+  ticker replay the reference exactly -- same log, clock and pending count;
+* a run driven from a worker thread dispatches like one on the main thread;
+* the instrumented dispatch loop (trace, metrics, profiler) dispatches
+  exactly like the plain one, also when a hub is armed or disarmed mid-run;
+* the harness has teeth: a kernel that breaks ``(when, seq)`` ties is
+  caught.
 """
+
+import random
+import threading
+from heapq import heappush as _heappush
 
 import pytest
 
-import repro.sim.parallel as parallel_mod
+import repro.sim.kernel as kernel_mod
+from repro.obs.profiler import PROFILER
 from repro.obs.registry import METRICS
-from repro.sim.cluster import ClusterMap
 from repro.sim.kernel import Simulator, SimulationError
 from repro.trace.sinks import RingBufferSink, record_to_jsonl_line
 from repro.trace.tracer import TRACE
 from tests.support.lockstep import (
-    ParallelWorkload,
+    ReferenceKernel,
     TimerWorkload,
     assert_logs_identical,
 )
 
-#: Small horizon so runs cross many window boundaries quickly.
+#: Small window so runs cross many window boundaries quickly.
 HORIZON = 1 << 16
-#: Three clusters of unequal size; addresses deliberately non-contiguous.
+#: Three owner groups of unequal size; addresses deliberately non-contiguous.
 CLUSTERS = ((1, 2), (10, 11), (20,))
 
 
-def _lookahead_sim(clusters=CLUSTERS, workers=1, horizon_ns=HORIZON):
-    sim = Simulator()
-    cm = ClusterMap(clusters) if clusters is not None else None
-    sim.configure_dispatch(
-        "lookahead", workers=workers, clusters=cm, horizon_ns=horizon_ns
+class _Owner:
+    """A timer owner: its bound ``fire`` is what the kernel dispatches."""
+
+    __slots__ = ("addr", "group")
+
+    def __init__(self, addr, group):
+        self.addr = addr
+        self.group = group
+
+    def fire(self, item_id):
+        self.group.fire(self, item_id)
+
+
+class _Group:
+    """One owner group's timer stream, driven by its own ``Random``."""
+
+    def __init__(self, workload, members, seed):
+        self.workload = workload
+        self.rng = random.Random(seed)
+        self.log = []
+        self.live = {}  # id -> handle, scheduled but not fired/cancelled
+        self.fired = []  # candidates for rearm
+        self.next_id = 0
+        self.owners = [_Owner(addr, self) for addr in members]
+
+    def schedule(self, when):
+        rng = self.rng
+        sim = self.workload.sim
+        if self.fired and rng.random() < 0.4:
+            sim.rearm(self.fired.pop(), when)
+            return
+        if self.next_id >= self.workload.max_items:
+            return
+        item_id = self.next_id
+        self.next_id += 1
+        owner = rng.choice(self.owners)
+        self.live[item_id] = sim.at(when, owner.fire, item_id)
+
+    def fire(self, owner, item_id):
+        workload = self.workload
+        now = workload.sim.now
+        self.log.append((now, owner.addr, item_id))
+        workload.merged_log.append((now, owner.addr, item_id))
+        handle = self.live.pop(item_id, None)
+        if handle is not None:
+            self.fired.append(handle)
+        rng = self.rng
+        for _ in range(rng.randrange(3)):
+            self.schedule(now + rng.choice(workload.offsets))
+        if self.live and rng.random() < 0.25:
+            victim = rng.choice(sorted(self.live))
+            self.live.pop(victim).cancel()
+
+
+class GroupedWorkload:
+    """Per-group schedule/cancel/rearm streams plus an optional ticker.
+
+    Offsets are pinned to a window boundary -- ``h - 1``, ``h``, ``h + 1``
+    -- and bounded runs stop at ``h // 2``, ``h`` or ``3 h`` past ``now``,
+    so timers land exactly on, just before and just after a run horizon.
+    """
+
+    def __init__(self, sim, seed, groups, horizon_ns,
+                 max_items=150, global_every=0):
+        self.sim = sim
+        self.horizon_ns = int(horizon_ns)
+        self.max_items = max_items
+        h = self.horizon_ns
+        #: Same-tick, next-tick, mid-window, and the three boundary cases.
+        self.offsets = (0, 1, h // 3, h - 1, h, h + 1, 2 * h + 5)
+        self.groups = [
+            _Group(self, members, seed * 1_000_003 + i)
+            for i, members in enumerate(groups)
+        ]
+        #: Run-horizon driver; its draws depend only on the round count.
+        self.driver = random.Random(seed ^ 0x5EED)
+        self.global_every = int(global_every)
+        self.global_log = []
+        self.merged_log = []
+
+    def _global_tick(self, tick_id, remaining):
+        self.global_log.append((self.sim.now, tick_id))
+        if remaining > 0:
+            self.sim.at(self.sim.now + self.global_every,
+                        self._global_tick, tick_id + 1, remaining - 1)
+
+    def play(self, rounds=6):
+        """Phases of per-group root scheduling and bounded runs."""
+        sim = self.sim
+        if self.global_every:
+            sim.at(sim.now + self.global_every, self._global_tick, 0, 40)
+        for _ in range(rounds):
+            for group in self.groups:
+                for _ in range(8):
+                    group.schedule(sim.now + group.rng.choice(self.offsets))
+            sim.run(until=sim.now + self.driver.choice(
+                (self.horizon_ns // 2, self.horizon_ns, 3 * self.horizon_ns)
+            ))
+        sim.run()
+        return self.group_logs()
+
+    def group_logs(self):
+        """Per-group dispatch logs, in group declaration order."""
+        return [list(group.log) for group in self.groups]
+
+
+def _in_thread(play):
+    """Run ``play()`` on a worker thread; return its result."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(play()))
+    worker.start()
+    worker.join()
+    assert len(out) == 1, "worker thread raised"
+    return out[0]
+
+
+def _assert_same_dispatch(kernel_wl, ref_wl):
+    assert_logs_identical(
+        ref_wl.merged_log, kernel_wl.merged_log, "reference", "kernel"
     )
-    return sim
-
-
-class TestConfigure:
-    def test_dispatch_property_round_trips(self):
-        sim = Simulator()
-        assert sim.dispatch == "serial"
-        sim.configure_dispatch("lookahead", horizon_ns=HORIZON)
-        assert sim.dispatch == "lookahead"
-        assert sim._executor is not None
-        sim.configure_dispatch("serial")
-        assert sim.dispatch == "serial"
-        assert sim._executor is None  # executor closed and dropped
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(SimulationError, match="unknown dispatch mode"):
-            Simulator().configure_dispatch("speculative")
-
-    def test_negative_horizon_rejected(self):
-        with pytest.raises(ValueError, match="horizon_ns"):
-            Simulator().configure_dispatch("lookahead", horizon_ns=-1)
-
-    def test_reconfigure_while_running_rejected(self):
-        sim = _lookahead_sim(clusters=None)
-        sim.at(10, lambda: sim.configure_dispatch("serial"))
-        with pytest.raises(SimulationError, match="while running"):
-            sim.run()
+    assert_logs_identical(
+        ref_wl.global_log, kernel_wl.global_log, "reference[g]", "kernel[g]"
+    )
+    for i, (a, b) in enumerate(zip(ref_wl.group_logs(), kernel_wl.group_logs())):
+        assert a == b, f"group {i} diverged"
+    assert kernel_wl.sim.now == ref_wl.sim.now
+    assert kernel_wl.sim.pending() == ref_wl.sim.pending() == 0
 
 
 class TestSingleClusterByteIdentity:
-    """With one cluster (or none) every window is one merged lane: the
-    full randomized timer workload must replay serial dispatch exactly."""
+    """One owner group: the kernel must replay the reference exactly."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_no_clusters_matches_serial(self, seed):
-        serial = TimerWorkload(Simulator(), seed)
-        look = TimerWorkload(_lookahead_sim(clusters=None), seed)
-        assert_logs_identical(serial.play(), look.play(), "serial", "lookahead")
-        assert serial.sim.now == look.sim.now
-        assert serial.sim.pending() == look.sim.pending()
-        assert len(serial.log) > 100
+        ref = GroupedWorkload(ReferenceKernel(), seed, ((1,),), HORIZON)
+        wl = GroupedWorkload(Simulator(), seed, ((1,),), HORIZON)
+        ref.play()
+        wl.play()
+        _assert_same_dispatch(wl, ref)
+        assert len(wl.merged_log) > 100
 
     @pytest.mark.parametrize("seed", range(8, 12))
     def test_single_cluster_map_matches_serial(self, seed):
-        look = TimerWorkload(_lookahead_sim(clusters=((1, 2, 3),)), seed)
-        serial = TimerWorkload(Simulator(), seed)
-        assert_logs_identical(serial.play(), look.play(), "serial", "lookahead")
+        ref = GroupedWorkload(ReferenceKernel(), seed, ((1, 2, 3),), HORIZON)
+        wl = GroupedWorkload(Simulator(), seed, ((1, 2, 3),), HORIZON)
+        ref.play()
+        wl.play()
+        _assert_same_dispatch(wl, ref)
+        assert len({addr for _t, addr, _i in wl.merged_log}) == 3
 
     @pytest.mark.parametrize("seed", (0, 1))
     def test_thread_seam_matches_serial(self, seed):
-        look = TimerWorkload(_lookahead_sim(clusters=None, workers=2), seed)
-        serial = TimerWorkload(Simulator(), seed)
-        try:
-            assert_logs_identical(
-                serial.play(), look.play(), "serial", "lookahead-w2"
-            )
-        finally:
-            look.sim.configure_dispatch("serial")  # join worker threads
+        ref = TimerWorkload(ReferenceKernel(), seed)
+        threaded = TimerWorkload(Simulator(), seed)
+        assert_logs_identical(
+            ref.play(), _in_thread(threaded.play), "reference", "kernel-thread"
+        )
+        assert threaded.sim.now == ref.sim.now
+        assert threaded.sim.pending() == ref.sim.pending()
 
 
-def _play_pair(seed, *, workers=1, global_every=0, horizon=HORIZON):
-    """The same ParallelWorkload through both dispatch modes."""
-    serial = ParallelWorkload(
+def _play_pair(seed, *, global_every=0, horizon=HORIZON, threaded=False):
+    """The same GroupedWorkload through the reference and the kernel."""
+    ref = GroupedWorkload(
+        ReferenceKernel(), seed, CLUSTERS, horizon, global_every=global_every
+    )
+    wl = GroupedWorkload(
         Simulator(), seed, CLUSTERS, horizon, global_every=global_every
     )
-    look = ParallelWorkload(
-        _lookahead_sim(workers=workers, horizon_ns=horizon),
-        seed, CLUSTERS, horizon, global_every=global_every,
-    )
-    serial.play()
-    look.play()
-    return serial, look
-
-
-def _assert_pair_equivalent(serial, look):
-    for i, (a, b) in enumerate(zip(serial.cluster_logs(), look.cluster_logs())):
-        assert_logs_identical(a, b, f"serial[c{i}]", f"lookahead[c{i}]")
-        assert len(a) > 30, "cluster produced too little traffic"
-    assert_logs_identical(
-        serial.global_log, look.global_log, "serial[g]", "lookahead[g]"
-    )
-    # cross-lane interleaving may differ, but never the event multiset
-    assert sorted(serial.merged_log) == sorted(look.merged_log)
-    assert serial.sim.now == look.sim.now
-    assert serial.sim.pending() == look.sim.pending() == 0
+    ref.play()
+    if threaded:
+        _in_thread(wl.play)
+    else:
+        wl.play()
+    return ref, wl
 
 
 class TestMultiClusterEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     def test_per_cluster_subsequences_match(self, seed):
-        _assert_pair_equivalent(*_play_pair(seed))
+        ref, wl = _play_pair(seed)
+        _assert_same_dispatch(wl, ref)
+        for log in wl.group_logs():
+            assert len(log) > 30, "group produced too little traffic"
 
     @pytest.mark.parametrize("seed", range(6, 10))
     def test_global_lane_window_cuts(self, seed):
-        # an ownerless ticker cuts windows mid-stream; its log and every
-        # cluster subsequence must still match serial dispatch
-        serial, look = _play_pair(seed, global_every=HORIZON // 3 + 7)
-        _assert_pair_equivalent(serial, look)
-        assert len(serial.global_log) == 41
+        # an ownerless ticker interleaves with every group's stream
+        ref, wl = _play_pair(seed, global_every=HORIZON // 3 + 7)
+        _assert_same_dispatch(wl, ref)
+        assert len(wl.global_log) == 41
 
     @pytest.mark.parametrize("seed", (2, 5))
     def test_thread_seam_pair(self, seed):
-        serial, look = _play_pair(seed, workers=3, global_every=HORIZON // 2)
-        try:
-            _assert_pair_equivalent(serial, look)
-        finally:
-            look.sim.configure_dispatch("serial")
+        ref, wl = _play_pair(seed, global_every=HORIZON // 2, threaded=True)
+        _assert_same_dispatch(wl, ref)
 
     @pytest.mark.parametrize("horizon", (1 << 10, 1 << 20))
     def test_horizon_extremes(self, horizon):
-        # tiny windows (every event its own window) and windows spanning
-        # the whole workload must both degrade to correct dispatch
-        _assert_pair_equivalent(*_play_pair(4, horizon=horizon))
+        # tiny windows (runs stop every few events) and windows spanning
+        # the whole workload must both replay the reference
+        ref, wl = _play_pair(4, horizon=horizon)
+        _assert_same_dispatch(wl, ref)
 
 
 class TestWindowBoundary:
     def test_boundary_offsets_fire_once_in_order(self):
-        sim = _lookahead_sim(clusters=((1,), (2,)))
+        sim = Simulator()
         log = []
 
         class Node:
             def __init__(self, addr):
-                self.cluster_addr = addr
+                self.addr = addr
 
             def fire(self, tag):
-                log.append((sim.now, self.cluster_addr, tag))
+                log.append((sim.now, self.addr, tag))
 
         offsets = (0, 1, HORIZON - 1, HORIZON, HORIZON + 1, 3 * HORIZON)
         for node in (Node(1), Node(2)):
             for off in offsets:
                 sim.at(off, node.fire, off)
+        for stop in (HORIZON, HORIZON + 1, 2 * HORIZON):
+            sim.run(until=stop)
         sim.run()
         assert len(log) == 12  # every timer exactly once
         for addr in (1, 2):
             mine = [t for t, a, _tag in log if a == addr]
             assert mine == sorted(mine) == list(offsets)
+        # same-time timers fire in scheduling order: node 1 before node 2
+        for off in offsets:
+            assert [a for t, a, _tag in log if t == off] == [1, 2]
 
     def test_until_semantics_match_serial(self):
-        sim = _lookahead_sim(clusters=((1,),))
-        fired = []
-
-        class Node:
-            cluster_addr = 1
-
-            def fire(self):
-                fired.append(sim.now)
-
-        node = Node()
-        sim.at(100, node.fire)
-        assert sim.run(until=100) == 0  # event at exactly `until` stays
-        assert sim.now == 100 and fired == []
-        assert sim.run() == 1
-        assert fired == [100]
+        for sim in (Simulator(), ReferenceKernel()):
+            fired = []
+            sim.at(100, lambda: fired.append(sim.now))
+            assert sim.run(until=100) == 0  # event at exactly `until` stays
+            assert sim.now == 100 and fired == []
+            assert sim.pending() == 1
+            assert sim.run() == 1
+            assert fired == [100]
 
     def test_in_window_schedule_routes_into_active_lane(self):
-        # a timer scheduled from inside a lane for a time still inside the
-        # window must join the active lane heap and fire in-window
-        sim = _lookahead_sim(clusters=((1,), (2,)))
+        # a timer scheduled from inside a callback for a time before an
+        # already-queued timer must fire first, inside the same run call
+        sim = Simulator()
         seen = []
 
-        class Node:
-            cluster_addr = 1
+        def first():
+            sim.at(sim.now + 1, lambda: seen.append(("second", sim.now)))
 
-            def first(self):
-                assert sim._lane_heap is not None  # executing inside a lane
-                sim.at(sim.now + 1, self.second)
-
-            def second(self):
-                seen.append((sim.now, sim._lane_heap is not None))
-
-        class Other:
-            cluster_addr = 2
-
-            def noop(self):
-                pass
-
-        sim.at(0, Node().first)
-        sim.at(5, Other().noop)  # second cluster so windows classify
-        sim.run()
-        assert seen == [(1, True)]
+        sim.at(0, first)
+        sim.at(5, lambda: seen.append(("later", sim.now)))
+        assert sim.run(until=HORIZON) == 3
+        assert seen == [("second", 1), ("later", 5)]
 
 
 class TestMidRunInstrumentationToggle:
-    """Arming TRACE mid-run bumps the instrumentation version: in-flight
-    lanes abort and their leftovers must be re-pushed and replayed merged,
-    never lost or duplicated."""
+    """Arming or disarming a hub mid-run bumps the instrumentation
+    version: the kernel switches between its plain and instrumented loops
+    between two callbacks and must never lose, repeat or reorder a timer."""
 
     step = HORIZON // 4
 
-    def _run_arm(self, sim, owned_toggle):
-        ring = RingBufferSink()
+    def _run_arm(self, sim, toggles, ring=None):
         log = []
 
         class Node:
             def __init__(self, addr):
-                self.cluster_addr = addr
+                self.addr = addr
 
             def fire(self, k):
-                log.append((sim.now, self.cluster_addr, k))
-
-        nodes = [Node(1), Node(2)]
+                log.append((sim.now, self.addr, k))
 
         def arm_trace():
-            TRACE.configure(sinks=[ring], sim=sim)
+            sink = ring if ring is not None else RingBufferSink()
+            TRACE.configure(sinks=[sink], sim=sim)
 
         try:
             for k in range(30):
-                for node in nodes:
+                for node in (Node(1), Node(2)):
                     sim.at(k * self.step, node.fire, k)
-            if owned_toggle:
-                # bound method of a cluster-1 owner: the bump lands mid-lane
-                sim.at(10 * self.step + 1, _OwnedToggle(1, arm_trace).fire)
-            else:
-                # ownerless: rides the global lane and cuts the window
+            if toggles >= 1:
                 sim.at(10 * self.step + 1, arm_trace)
+            if toggles >= 2:
+                sim.at(20 * self.step + 1, TRACE.reset)
             sim.run()
         finally:
             TRACE.reset()
-        return log, list(ring.records())
+        return log
 
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_owned_toggle_aborts_but_preserves_every_timer(self, workers):
-        serial_log, serial_recs = self._run_arm(Simulator(), owned_toggle=True)
-        sim = _lookahead_sim(clusters=((1,), (2,)), workers=workers)
-        try:
-            look_log, look_recs = self._run_arm(sim, owned_toggle=True)
-        finally:
-            sim.configure_dispatch("serial")
-        assert len(look_log) == len(serial_log) == 60
-        for addr in (1, 2):
-            assert [e for e in serial_log if e[1] == addr] == [
-                e for e in look_log if e[1] == addr
-            ]
-        # An *owned* toggle is a cross-cluster interaction (it mutates the
-        # process-wide hub), so trace coverage may legitimately start
-        # earlier under lookahead: the aborted sibling lane's leftovers
-        # replay traced, where serial had already dispatched them dark.
-        # Every serially-traced dispatch must still be traced here.
-        serial_keys = {(r.time_ns, r.get("timer_seq")) for r in serial_recs}
-        look_keys = {(r.time_ns, r.get("timer_seq")) for r in look_recs}
-        assert serial_keys, "toggle never armed the tracer"
-        assert serial_keys <= look_keys
+    @pytest.mark.parametrize("toggles", (1, 2))
+    def test_owned_toggle_aborts_but_preserves_every_timer(self, toggles):
+        ref_log = self._run_arm(ReferenceKernel(), toggles=0)
+        ring = RingBufferSink()
+        log = self._run_arm(Simulator(), toggles=toggles, ring=ring)
+        assert len(log) == 60
+        assert_logs_identical(ref_log, log, "reference", "kernel")
+        dispatched = [
+            r.time_ns for r in ring.records() if r.kind == "dispatch"
+        ]
+        assert dispatched, "toggle never armed the tracer"
+        assert min(dispatched) > 10 * self.step + 1
+        if toggles == 2:
+            assert max(dispatched) <= 20 * self.step + 1
 
     def test_global_toggle_cuts_window_and_stays_byte_identical(self):
-        # the sanctioned way to toggle hubs mid-run: an ownerless callback,
-        # which barriers the window -- the post-toggle trace is then
-        # byte-identical between dispatch modes
-        serial_log, serial_recs = self._run_arm(Simulator(), owned_toggle=False)
-        look_log, look_recs = self._run_arm(
-            _lookahead_sim(clusters=((1,), (2,))), owned_toggle=False
-        )
-        assert len(look_log) == len(serial_log) == 60
-        serial_lines = [record_to_jsonl_line(r) for r in serial_recs]
-        look_lines = [record_to_jsonl_line(r) for r in look_recs]
-        assert serial_lines, "toggle never armed the tracer"
-        assert_logs_identical(serial_lines, look_lines, "serial", "lookahead")
+        # arming the tracer mid-run yields exactly the tail of the trace
+        # a run traced from the start records
+        cut = 10 * self.step + 1
+        mid_ring = RingBufferSink()
+        self._run_arm(Simulator(), toggles=1, ring=mid_ring)
 
+        full_ring = RingBufferSink()
+        sim = Simulator()
+        TRACE.configure(sinks=[full_ring], sim=sim)
+        try:
+            self._run_arm(sim, toggles=0)
+        finally:
+            TRACE.reset()
+        # the emission index restarts when the tracer is armed: compare
+        # everything else
+        def content(records):
+            return [(r.time_ns, r.key, r.fields) for r in records]
 
-class _OwnedToggle:
-    """Cluster-owned object whose timer callback flips a global hub."""
-
-    def __init__(self, addr, arm):
-        self.cluster_addr = addr
-        self.arm = arm
-
-    def fire(self):
-        self.arm()
+        mid_lines = content(mid_ring.records())
+        tail = content(r for r in full_ring.records() if r.time_ns > cut)
+        assert mid_lines, "toggle never armed the tracer"
+        assert_logs_identical(tail, mid_lines, "traced", "armed-mid-run")
 
 
 class TestMergedInstrumentedByteIdentity:
     @pytest.mark.parametrize("seed", (0, 3))
     def test_traced_run_is_byte_identical(self, seed):
-        def run_arm(sim):
+        def run_arm(profile):
+            sim = Simulator()
             ring = RingBufferSink()
             TRACE.configure(sinks=[ring], sim=sim)
+            if profile:
+                PROFILER.configure()
             try:
-                wl = ParallelWorkload(sim, seed, CLUSTERS, HORIZON,
-                                      global_every=HORIZON)
+                wl = GroupedWorkload(sim, seed, CLUSTERS, HORIZON,
+                                     global_every=HORIZON)
                 wl.play()
             finally:
                 TRACE.reset()
+                PROFILER.reset()
             return wl, [record_to_jsonl_line(r) for r in ring.records()]
 
-        serial_wl, serial_lines = run_arm(Simulator())
-        look_wl, look_lines = run_arm(_lookahead_sim())
-        assert len(serial_lines) > 300
-        assert_logs_identical(serial_lines, look_lines, "serial", "lookahead")
-        # merged windows execute in exact global order: even the
-        # interleaved workload log matches entry-for-entry
-        assert_logs_identical(
-            serial_wl.merged_log, look_wl.merged_log, "serial", "lookahead"
-        )
+        plain = GroupedWorkload(Simulator(), seed, CLUSTERS, HORIZON,
+                                global_every=HORIZON)
+        plain.play()
+        traced_wl, traced_lines = run_arm(profile=False)
+        profiled_wl, profiled_lines = run_arm(profile=True)
+        assert len(traced_lines) > 300
+        # the profiler rides the same loop: the trace must not move
+        assert_logs_identical(traced_lines, profiled_lines, "traced", "profiled")
+        # and the instrumented loop dispatches exactly like the plain one
+        _assert_same_dispatch(traced_wl, plain)
+        _assert_same_dispatch(profiled_wl, plain)
 
     def test_metrics_run_counts_every_dispatch(self):
-        def run_arm(sim):
-            METRICS.configure()
-            try:
-                wl = ParallelWorkload(sim, 7, CLUSTERS, HORIZON)
-                wl.play()
-                snap = METRICS.snapshot()
-            finally:
-                METRICS.reset()
-            return wl, snap
-
-        serial_wl, serial_snap = run_arm(Simulator())
-        look_wl, look_snap = run_arm(_lookahead_sim())
-        assert serial_snap == look_snap
-        dispatched = serial_snap["sim"]["counters"]["kernel.events_dispatched"]
-        assert dispatched == len(serial_wl.merged_log)
-        assert_logs_identical(
-            serial_wl.merged_log, look_wl.merged_log, "serial", "lookahead"
-        )
+        plain = GroupedWorkload(Simulator(), 7, CLUSTERS, HORIZON)
+        plain.play()
+        METRICS.configure()
+        try:
+            wl = GroupedWorkload(Simulator(), 7, CLUSTERS, HORIZON)
+            wl.play()
+            snap = METRICS.snapshot()
+        finally:
+            METRICS.reset()
+        dispatched = snap["sim"]["counters"]["kernel.events_dispatched"]
+        assert dispatched == len(wl.merged_log) == wl.sim.events_executed
+        _assert_same_dispatch(wl, plain)
 
 
 class TestProfilerDispatchAttribution:
-    def test_lookahead_run_populates_dispatch_section(self):
-        """Barrier stalls land in ``kernel.barrier``; lane attribution
-        covers every executed event (satellite of the profiler suite)."""
-        from repro.obs.profiler import BARRIER_BUCKET, PROFILER
-
-        sim = _lookahead_sim()
-        PROFILER.configure()
-        try:
-            wl = ParallelWorkload(sim, 1, CLUSTERS, HORIZON,
-                                  global_every=HORIZON)
-            wl.play()
-            report = PROFILER.report()
-        finally:
-            PROFILER.reset()
-        dispatch = report["dispatch"]
-        assert dispatch["windows"] > 0
-        assert dispatch["parallelism"]["max"] >= 2  # multi-lane windows ran
-        # one barrier record per window, in the dedicated bucket -- never
-        # smeared into the last callback's subsystem
-        barrier = report["subsystems"][BARRIER_BUCKET]
-        assert barrier["events"] == dispatch["windows"]
-        assert dispatch["barrier_stall"]["count"] == dispatch["windows"]
-        # per-lane attribution covers every executed event exactly once
-        assert sum(dispatch["lane_events"].values()) == (
-            len(wl.merged_log) + len(wl.global_log)
-        )
-        assert any(k.startswith("cluster") for k in dispatch["lane_events"])
-        assert "global" in dispatch["lane_events"]
-
     def test_serial_run_has_no_dispatch_section(self):
-        from repro.obs.profiler import PROFILER
-
         sim = Simulator()
         PROFILER.configure()
         try:
@@ -405,29 +429,22 @@ class TestProfilerDispatchAttribution:
 
 class TestMutation:
     def test_broken_window_merge_is_caught(self, monkeypatch):
-        """The differential harness has teeth: reversing the drained batch
-        (a deliberately broken (when, seq) merge) must diverge loudly."""
-        serial = ParallelWorkload(Simulator(), 3, CLUSTERS, HORIZON)
-        serial.play()
+        """The differential harness has teeth: a kernel whose heap orders
+        same-time timers newest-first (a broken ``(when, seq)`` merge)
+        must diverge loudly from the reference."""
+        ref = GroupedWorkload(ReferenceKernel(), 3, CLUSTERS, HORIZON)
+        ref.play()
 
-        true_drain = parallel_mod.LookaheadExecutor._drain
+        def broken_push(heap, entry):
+            when, seq, timer = entry
+            _heappush(heap, (when, -abs(seq), timer))
 
-        def broken_drain(self, sim, end, classify, cut_on_global):
-            batch, roots, cut = true_drain(self, sim, end, classify, cut_on_global)
-            if len(batch) > 1:
-                batch = list(reversed(batch))
-                roots = list(reversed(roots))
-            return batch, roots, cut
-
-        monkeypatch.setattr(
-            parallel_mod.LookaheadExecutor, "_drain", broken_drain
-        )
-        look = ParallelWorkload(_lookahead_sim(), 3, CLUSTERS, HORIZON)
+        monkeypatch.setattr(kernel_mod, "heappush", broken_push)
+        wl = GroupedWorkload(Simulator(), 3, CLUSTERS, HORIZON)
         diverged = False
         try:
-            look.play()
-            for a, b in zip(serial.cluster_logs(), look.cluster_logs()):
-                assert_logs_identical(a, b)
+            wl.play()
+            _assert_same_dispatch(wl, ref)
         except (AssertionError, SimulationError):
             diverged = True
-        assert diverged, "differential failed to catch a broken window merge"
+        assert diverged, "differential failed to catch a broken (when, seq) merge"

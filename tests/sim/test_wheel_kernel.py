@@ -8,8 +8,10 @@ import pytest
 
 from repro.sim.kernel import COMPACT_MIN_CANCELLED, SimulationError, Simulator
 
-#: A near-future offset (~2.1 ms).
+#: A near-future offset (~2.1 ms) and a far-future one (~270 ms): the slot
+#: width and horizon of the timer wheel this kernel replaced.
 SLOT_NS = 1 << 21
+HORIZON_NS = 128 * SLOT_NS
 
 
 def test_pending_is_live_count():
@@ -103,7 +105,27 @@ def test_fired_timers_are_not_recycled():
     assert fired == [1, 2]
 
 
-def test_cancel_skips_only_the_cancelled_timer():
+def test_placement_spans_slot_wheel_and_overflow():
+    """Timers fire in time order from same-tick to far future, across the
+    scales where the old wheel switched storage class."""
+    sim = Simulator()
+    fired = []
+    whens = [
+        0,
+        SLOT_NS // 2,
+        SLOT_NS + 3,
+        HORIZON_NS - 1,
+        HORIZON_NS + 5,
+        9 * HORIZON_NS,
+    ]
+    for when in reversed(whens):
+        sim.at(when, fired.append, when)
+    sim.run()
+    assert fired == sorted(whens)
+    assert sim.pending() == 0
+
+
+def test_cancel_inside_wheel_bucket_before_slot_loads():
     sim = Simulator()
     fired = []
     victim = sim.at(5 * SLOT_NS, fired.append, "victim")
@@ -126,3 +148,15 @@ def test_horizon_stop_keeps_the_next_timer_queued():
     sim.run()
     assert fired == ["first", "second"]
     assert sim.pending() == 0
+
+
+def test_schedule_behind_cursor_slot_between_runs():
+    """After run(until=...) parks ``now`` between timers, an ``at`` just
+    past ``now`` still fires, after the timer that was already due."""
+    sim = Simulator()
+    fired = []
+    sim.at(10 * SLOT_NS, fired.append, "first")
+    sim.run(until=10 * SLOT_NS + 10)
+    sim.at(10 * SLOT_NS + 20, fired.append, "same-slot")
+    sim.run()
+    assert fired == ["first", "same-slot"]
