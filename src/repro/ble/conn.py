@@ -139,11 +139,6 @@ class Endpoint:
         #: Upper-layer ack hook: ``on_pdu_acked(pdu)``.
         self.on_pdu_acked: Optional[Callable[[DataPdu], None]] = None
 
-    @property
-    def has_data(self) -> bool:
-        """Whether this endpoint has PDUs waiting (drives the MD flag)."""
-        return bool(self.tx_queue)
-
     def enqueue(self, pdu: DataPdu) -> bool:
         """Queue a PDU for transfer, charging the controller's buffer pool.
 
@@ -332,10 +327,10 @@ class Connection:
         )
         self._widening_base = subordinate.config.window_widening_base_ns
         self._sub_clock = subordinate.clock
-        # Cross-event PER memo for the inline loss-sampling fast path:
-        # with no bursts configured the PER of a (channel, nbytes) pair is
-        # time-invariant, so it survives across events.  Guarded by the
-        # interference model's change stamp (see _exchange_loop).
+        # Cross-event PER memo for the inline loss sampling: with no bursts
+        # configured the PER of a (channel, nbytes) pair is time-invariant,
+        # so it survives across events.  Guarded by the interference
+        # model's change stamp (see _per_cache).
         self._per_memo: Dict[int, float] = {}
         self._per_memo_stamp: Tuple[int, int] = (-2, -2)
         self._interval_true = coordinator.clock.local_duration_to_true(
@@ -485,14 +480,6 @@ class Connection:
         elif kind == "chan-map-update":
             self._pending_chan_map = arg
 
-    def _interval_true_coord(self) -> int:
-        """One interval as counted by the coordinator's clock, in true ns.
-
-        Cached in ``_interval_true``: the clock rate is fixed for life and
-        ``params`` only changes via a control procedure, which refreshes it.
-        """
-        return self._interval_true
-
     def _next_radio_time(self, role: Role, after_ns: int) -> Optional[int]:
         """Scheduler callback: when does this connection need the radio next."""
         if not self.open:
@@ -504,28 +491,13 @@ class Connection:
             anchor += periods * interval
         if role is Role.SUBORDINATE:
             # The subordinate opens its window early; approximating with the
-            # current widening is enough for budget queries.  Inlined
-            # _window_widening: budget queries run several times per event.
+            # current widening (same arithmetic as _run_event's) is enough
+            # for budget queries.
             dt = anchor - self._sync_true
             if dt < 0:
                 dt = 0
             anchor -= self._widening_base + int(dt * self._sca_sum_ppm * 1e-6)
         return anchor
-
-    def _sub_predicted_anchor(self) -> int:
-        """Where the subordinate's clock believes the current anchor lies."""
-        elapsed_events = self.event_counter - self._sync_counter
-        pred_local = self._sync_local + elapsed_events * self.params.interval_ns
-        return self.sub.controller.clock.to_true(pred_local)
-
-    def _window_widening(self, pred_true: int) -> int:
-        """Receive window half-width around the predicted anchor (§6.1).
-
-        The hot paths (`_run_event`, `_next_radio_time`) inline this
-        arithmetic; keep the three of them in sync.
-        """
-        dt = max(0, pred_true - self._sync_true)
-        return self._widening_base + int(dt * self._sca_sum_ppm * 1e-6)
 
     def _policy_yield(
         self, controller: "BleController", activity: _ConnActivity, t0: int
@@ -543,23 +515,6 @@ class Connection:
             and demand_a.consec_skips > activity.consec_skips
         )
 
-    def _event_budget_end(
-        self,
-        controller: "BleController",
-        activity: _ConnActivity,
-        t0: int,
-        interval_true: int,
-    ) -> int:
-        """Latest time this event may occupy ``controller``'s radio."""
-        end = t0 + interval_true - T_IFS_NS
-        demand_t, _ = controller.scheduler.next_demand_after(t0, exclude=activity)
-        if demand_t is not None:
-            end = min(end, demand_t - T_IFS_NS)
-        max_len = controller.config.max_event_len_ns
-        if max_len > 0:
-            end = min(end, t0 + max_len)
-        return end
-
     def _run_event(self) -> None:
         """Execute one connection event (the composite transaction)."""
         if not self.open:
@@ -575,7 +530,8 @@ class Connection:
         channel = self.csa.channel_for_event(self.event_counter & 0xFFFF, self.chan_map)
 
         # --- subordinate's view: does its window catch the anchor? ---------
-        # Inlined _sub_predicted_anchor + _window_widening (hot path).
+        # The sub predicts the anchor on its own clock from its last sync;
+        # the receive window widens with the declared SCA since then (§6.1).
         pred_local = self._sync_local + (
             (self.event_counter - self._sync_counter) * self.params.interval_ns
         )
@@ -656,7 +612,25 @@ class Connection:
             if metrics_on:
                 METRICS.inc(coord_ctrl.name, "ble.conn_events_served")
                 METRICS.inc(sub_ctrl.name, "ble.conn_events_served")
-            end = self._exchange_loop(t0, channel, interval_true)
+            # An idle event -- nothing queued, at most an empty PDU awaiting
+            # its ack -- takes the inline fast path unless something observes
+            # or overrides the exchange (see _idle_exchange).
+            coord, sub = self.coord, self.sub
+            pinned_c = coord._outstanding
+            pinned_s = sub._outstanding
+            medium = self.medium
+            if (
+                not (trace_on or metrics_on or coord.tx_queue or sub.tx_queue)
+                and (pinned_c is None or pinned_c is coord._empty_pdu)
+                and (pinned_s is None or pinned_s is sub._empty_pdu)
+                and not SPANS.enabled
+                and coord_ctrl.config.abort_event_on_crc_error
+                and "packet_lost" not in medium.__dict__
+                and type(medium).packet_lost is BleMedium.packet_lost
+            ):
+                end = self._idle_exchange(t0, channel)
+            else:
+                end = self._exchange_loop(t0, channel, interval_true)
             csched = coord_ctrl.scheduler
             ssched = sub_ctrl.scheduler
             if trace_on or metrics_on:
@@ -774,6 +748,103 @@ class Connection:
         else:
             self._timer = sim.at(self.anchor_true, self._run_event)
 
+    def _per_cache(self) -> Dict[int, float]:
+        """The PER memo for inline loss sampling, keyed ``channel << 9 | nbytes``.
+
+        nbytes < 512 always (max BLE payload 251 + overhead), so the key is
+        collision-free.  Bursts make PER time-dependent, so with bursts the
+        memo lives for this event only (kernel time is frozen inside a
+        callback).  Without them PER is a pure function of (channel, nbytes)
+        until the static interference config changes, so the memo survives
+        across events; the stamp mirrors the model's own dirty flag
+        (``invalidate()`` resets it).
+        """
+        interf = self.medium.interference
+        if interf.bursts:
+            return {}
+        stamp = interf._chan_stamp
+        if stamp != self._per_memo_stamp:
+            self._per_memo.clear()
+            self._per_memo_stamp = stamp
+        return self._per_memo
+
+    def _idle_exchange(self, t0: int, channel: int) -> int:
+        """Play out an idle event's single empty <-> empty exchange.
+
+        ``_run_event`` takes this path instead of :meth:`_exchange_loop` when
+        neither end has anything queued or unacknowledged, instrumentation
+        is off, a CRC error closes the event and ``packet_lost`` is the
+        stock one.  It stamps, samples and acknowledges exactly as the loop
+        does for two empty PDUs -- same RNG draws in the same order, same
+        counters -- but skips the loop's budget scan: the budget is only
+        read before a second exchange, which an idle event never starts,
+        and no upper-layer callback runs that could change it.
+        ``tests/ble/test_idle_fast_path.py`` holds the two paths identical.
+        """
+        coord, sub = self.coord, self.sub
+        medium = self.medium
+        per_cache = self._per_cache()
+        key = (channel << 9) + 10  # an empty PDU's frame is 10 bytes
+        per = per_cache.get(key)
+        if per is None:
+            per = medium.interference.packet_error_rate(channel, 10, self.sim.now)
+            per_cache[key] = per
+        air = ble_air_time_table(self.phy)[0]
+        event_row = coord.stats.per_channel_events[channel]
+        event_row[0] += 1
+
+        # Coordinator TX (build_tx_pdu with a dry queue).
+        pdu = coord._empty_pdu
+        if coord._outstanding is None:
+            pdu.sn = coord.sn
+            coord._outstanding = pdu
+        pdu.nesn = coord.nesn
+        pdu.md = False
+        coord.stats.tx_empty += 1
+        medium.packets_sampled += 1
+        t = t0 + air
+        if per > 0.0 and medium.rng.random() < per:
+            medium.packets_lost += 1
+            coord.stats.events_crc_abort += 1
+            event_row[1] += 1
+            return t
+        # Subordinate RX: sync, then process_rx's ack/accept for an empty.
+        self._sync_true = t0
+        self._sync_counter = self.event_counter
+        self._sync_local = self._sub_clock.to_local(t0)
+        sub.last_rx_valid = t
+        if pdu.nesn != sub.sn:
+            sub.sn ^= 1
+            sub._outstanding = None
+        if pdu.sn == sub.nesn:
+            sub.nesn ^= 1
+        sub.stats.events_active += 1
+
+        # Subordinate TX, one T_IFS later.
+        pdu = sub._empty_pdu
+        if sub._outstanding is None:
+            pdu.sn = sub.sn
+            sub._outstanding = pdu
+        pdu.nesn = sub.nesn
+        pdu.md = False
+        sub.stats.tx_empty += 1
+        medium.packets_sampled += 1
+        t += T_IFS_NS + air
+        if per > 0.0 and medium.rng.random() < per:
+            medium.packets_lost += 1
+            sub.stats.events_crc_abort += 1
+            event_row[1] += 1
+            return t
+        # Coordinator RX.
+        coord.last_rx_valid = t
+        if pdu.nesn != coord.sn:
+            coord.sn ^= 1
+            coord._outstanding = None
+        if pdu.sn == coord.nesn:
+            coord.nesn ^= 1
+        coord.stats.events_active += 1
+        return t
+
     def _exchange_loop(self, t0: int, channel: int, interval_true: int) -> int:
         """Play out the packet exchanges of one event; returns its end time.
 
@@ -782,10 +853,10 @@ class Connection:
         closes the event immediately (BT 5.2 Vol 6 Part B §4.5.6).
         """
         coord, sub = self.coord, self.sub
-        # Inlined _event_budget_end for both endpoints (hot path): the
-        # event may run until the interval ends, the next competing radio
-        # demand on either node, or the controller's event-length cap,
-        # whichever is earliest.
+        # The event may run until the interval ends, the next competing
+        # radio demand on either node, or either controller's event-length
+        # cap, whichever is earliest.  _idle_exchange skips this scan; the
+        # differential in tests/ble/test_idle_fast_path.py guards that.
         budget_end = t0 + interval_true - T_IFS_NS
         coord_ctrl = coord.controller
         sub_ctrl = sub.controller
@@ -832,26 +903,10 @@ class Connection:
             and type(medium).packet_lost is BleMedium.packet_lost
         )
         if fast_phy:
-            interf = medium.interference
-            per_of = interf.packet_error_rate
+            per_of = medium.interference.packet_error_rate
+            per_cache = self._per_cache()
             rng_random = medium.rng.random
             sim_now = self.sim.now
-            if interf.bursts:
-                # Bursts make PER time-dependent: memoize within this
-                # event only (kernel time is frozen inside a callback).
-                per_cache: Dict[int, float] = {}
-            else:
-                # No bursts: PER is a pure function of (channel, nbytes)
-                # until the static interference config changes, so the
-                # memo survives across events.  The stamp mirrors the
-                # model's own dirty flag (invalidate() resets it).
-                per_cache = self._per_memo
-                stamp = interf._chan_stamp
-                if stamp != self._per_memo_stamp:
-                    per_cache.clear()
-                    self._per_memo_stamp = stamp
-            # nbytes < 512 always (max BLE payload 251 + overhead), so
-            # `channel * 512 + nbytes` is a collision-free int key.
             chan_key = channel << 9
         t = t0
         first = True
@@ -921,7 +976,7 @@ class Connection:
                 t += T_IFS_NS
                 continue
             if first:
-                # Inlined _resync_sub: the sub locks onto this anchor.
+                # The sub locks onto this anchor (first valid RX).
                 self._sync_true = t0
                 self._sync_counter = self.event_counter
                 self._sync_local = self._sub_clock.to_local(t0)
@@ -1025,9 +1080,3 @@ class Connection:
         if lost_c or lost_s:
             event_row[1] += 1
         return t
-
-    def _resync_sub(self, anchor_true: int) -> None:
-        """The subordinate locks onto the coordinator's anchor (first RX)."""
-        self._sync_true = anchor_true
-        self._sync_counter = self.event_counter
-        self._sync_local = self.sub.controller.clock.to_local(anchor_true)

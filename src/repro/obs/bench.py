@@ -1,8 +1,10 @@
 """The committed perf baseline: ``python -m repro.obs.bench``.
 
 Runs one representative scenario per topology class under the wall-clock
-profiler and writes ``BENCH_metrics.json`` -- the events-per-second and
-wall-time baseline the PR checks future regressions against.  The numbers
+profiler and writes ``BENCH_metrics.json`` -- the sim-seconds per wall
+second, events-per-second and wall-time baseline that ``--compare`` gates
+later runs on (on sim-s/wall-s; on events/s against older baselines that
+lack it, see :func:`gate_metric`).  The numbers
 are machine-dependent by nature, so the file records the *shape* of the
 simulator's performance (relative subsystem shares, sim-seconds per wall
 second per scenario class), not a CI-enforced threshold; the CI metrics
@@ -40,7 +42,7 @@ import json
 import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.exp.config import ExperimentConfig
 from repro.exp.runner import run_experiment
@@ -177,12 +179,25 @@ def scenario_mismatches(current: dict, baseline: dict) -> List[str]:
     return problems
 
 
+def gate_metric(current_row: dict, baseline_row: dict) -> Tuple[str, str]:
+    """The throughput a scenario is gated on: ``(key, unit)``.
+
+    Simulated seconds per wall second when both rows carry it.  Events/s
+    rewards doing more work, and would read a speedup that skips events
+    as a regression; it stays only as the fallback for baselines written
+    before ``sim_s_per_wall_s`` was recorded.
+    """
+    if "sim_s_per_wall_s" in current_row and "sim_s_per_wall_s" in baseline_row:
+        return "sim_s_per_wall_s", "sim-s/wall-s"
+    return "events_per_wall_s", "events/s"
+
+
 def compare_documents(
     current: dict, baseline: dict, threshold: float
 ) -> List[str]:
     """Check ``current`` against ``baseline``; return regression messages.
 
-    A scenario regresses when its ``events_per_wall_s`` drops by more than
+    A scenario regresses when its :func:`gate_metric` drops by more than
     ``threshold`` (a fraction: 0.25 = 25 %) relative to the baseline.
     Only scenarios present in *both* documents are compared; scenario-set
     differences are the province of :func:`scenario_mismatches` (the CLI
@@ -195,16 +210,17 @@ def compare_documents(
         cur_row = cur_scenarios.get(label)
         if cur_row is None:
             continue
-        base_eps = float(base_row["events_per_wall_s"])
-        cur_eps = float(cur_row["events_per_wall_s"])
-        if base_eps <= 0:
+        key, unit = gate_metric(cur_row, base_row)
+        base_value = float(base_row[key])
+        cur_value = float(cur_row[key])
+        if base_value <= 0:
             continue
-        ratio = cur_eps / base_eps
+        ratio = cur_value / base_value
         if ratio < 1.0 - threshold:
             problems.append(
-                f"{label}: {cur_eps:.1f} events/s is "
+                f"{label}: {cur_value:.1f} {unit} is "
                 f"{(1.0 - ratio) * 100.0:.1f}% below baseline "
-                f"{base_eps:.1f} (threshold {threshold * 100.0:.0f}%)"
+                f"{base_value:.1f} (threshold {threshold * 100.0:.0f}%)"
             )
     return problems
 
@@ -214,16 +230,18 @@ def render_comparison(current: dict, baseline: dict) -> str:
     lines = []
     base_scenarios = baseline.get("scenarios", {})
     for label, row in sorted(current.get("scenarios", {}).items()):
-        cur_eps = float(row["events_per_wall_s"])
         base_row = base_scenarios.get(label)
         if base_row is None:
-            lines.append(f"{label:17s} {cur_eps:10.1f} events/sec (no baseline)")
+            key, unit = gate_metric(row, row)
+            lines.append(f"{label:17s} {float(row[key]):10.1f} {unit} (no baseline)")
             continue
-        base_eps = float(base_row["events_per_wall_s"])
-        ratio = cur_eps / base_eps if base_eps > 0 else float("inf")
+        key, unit = gate_metric(row, base_row)
+        cur_value = float(row[key])
+        base_value = float(base_row[key])
+        ratio = cur_value / base_value if base_value > 0 else float("inf")
         lines.append(
-            f"{label:17s} {cur_eps:10.1f} events/sec "
-            f"vs baseline {base_eps:10.1f}  ({ratio:5.2f}x)"
+            f"{label:17s} {cur_value:10.1f} {unit} "
+            f"vs baseline {base_value:10.1f}  ({ratio:5.2f}x)"
         )
     return "\n".join(lines)
 
@@ -291,7 +309,8 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--threshold", type=float, default=DEFAULT_REGRESSION_THRESHOLD,
-        help="tolerated events/sec drop as a fraction "
+        help="tolerated sim-s/wall-s drop as a fraction (events/sec "
+             "against baselines that lack it) "
              f"(default {DEFAULT_REGRESSION_THRESHOLD})",
     )
     parser.add_argument(

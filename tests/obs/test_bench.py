@@ -30,11 +30,25 @@ def _doc(**eps) -> dict:
                 "events": 1000,
                 "wall_s": 0.1,
                 "events_per_wall_s": value,
-                "sim_s_per_wall_s": 100.0,
+                "sim_s_per_wall_s": value / 10.0,
             }
             for label, value in eps.items()
         },
     }
+
+
+def _rows(**rows) -> dict:
+    """A document from explicit ``(events_per_wall_s, sim_s_per_wall_s)``
+    pairs; ``None`` leaves a metric out (an older baseline)."""
+    doc = _doc(**{label: 1.0 for label in rows})
+    for label, (eps, sps) in rows.items():
+        row = doc["scenarios"][label]
+        row["events_per_wall_s"] = eps
+        if sps is None:
+            del row["sim_s_per_wall_s"]
+        else:
+            row["sim_s_per_wall_s"] = sps
+    return doc
 
 
 class TestCompareDocuments:
@@ -83,6 +97,30 @@ class TestCompareDocuments:
     def test_render_comparison_shows_ratio(self):
         text = render_comparison(_doc(line=2000.0), _doc(line=1000.0))
         assert "2.00x" in text
+
+    def test_gate_reads_sim_s_per_wall_s_when_both_carry_it(self):
+        # more events per second while simulated time per second drops:
+        # the run did more work, slower -- a regression
+        current = _rows(line=(2000.0, 70.0))
+        baseline = _rows(line=(1000.0, 100.0))
+        (problem,) = compare_documents(current, baseline, 0.25)
+        assert "sim-s/wall-s" in problem and "30.0%" in problem
+
+    def test_gate_ignores_events_per_wall_s_drop_when_sim_s_holds(self):
+        # fewer events for the same simulated time (e.g. skipped idle
+        # events) is not a regression
+        current = _rows(line=(500.0, 100.0))
+        baseline = _rows(line=(1000.0, 100.0))
+        assert compare_documents(current, baseline, 0.25) == []
+        assert "1.00x" in render_comparison(current, baseline)
+
+    def test_gate_falls_back_to_events_per_wall_s_for_old_baseline(self):
+        current = _rows(line=(700.0, 100.0))
+        baseline = _rows(line=(1000.0, None))
+        (problem,) = compare_documents(current, baseline, 0.25)
+        assert "events/s" in problem and "30.0%" in problem
+        assert "0.70x" in render_comparison(current, baseline)
+        assert compare_documents(_rows(line=(900.0, 1.0)), baseline, 0.25) == []
 
 
 class TestBenchCli:
