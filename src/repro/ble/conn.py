@@ -118,6 +118,8 @@ class Endpoint:
         self.conn = conn
         self.controller = controller
         self.role = role
+        #: ``role.value``, read once here instead of once per traced packet.
+        self.role_name: str = role.value
         self.tx_queue: Deque[DataPdu] = deque()
         self.tx_queue_bytes = 0
         self.sn = 0
@@ -197,7 +199,7 @@ class Endpoint:
             return
         TRACE.emit(
             t, "ble", "ll_tx",
-            conn=self.conn.conn_id, role=self.role.value,
+            conn=self.conn.conn_id, role=self.role_name,
             sn=pdu.sn, nesn=pdu.nesn, len=len(pdu.payload), retx=retx,
         )
 
@@ -206,7 +208,7 @@ class Endpoint:
         if TRACE.enabled:
             TRACE.emit(
                 now_ns, "ble", "ll_rx",
-                conn=self.conn.conn_id, role=self.role.value,
+                conn=self.conn.conn_id, role=self.role_name,
                 sn=pdu.sn, nesn=pdu.nesn, len=len(pdu.payload),
                 my_sn=self.sn, my_nesn=self.nesn,
             )
@@ -330,9 +332,9 @@ class Connection:
         # Cross-event PER memo for the inline loss sampling: with no bursts
         # configured the PER of a (channel, nbytes) pair is time-invariant,
         # so it survives across events.  Guarded by the interference
-        # model's change stamp (see _per_cache).
+        # model's generation counter (see _per_cache).
         self._per_memo: Dict[int, float] = {}
-        self._per_memo_stamp: Tuple[int, int] = (-2, -2)
+        self._per_memo_gen = -1
         self._interval_true = coordinator.clock.local_duration_to_true(
             params.interval_ns
         )
@@ -756,16 +758,17 @@ class Connection:
         memo lives for this event only (kernel time is frozen inside a
         callback).  Without them PER is a pure function of (channel, nbytes)
         until the static interference config changes, so the memo survives
-        across events; the stamp mirrors the model's own dirty flag
-        (``invalidate()`` resets it).
+        across events, keyed on :meth:`InterferenceModel.generation` (which
+        sees a jammed-set replacement, a new ``channel_per`` key and
+        ``invalidate()``).
         """
         interf = self.medium.interference
         if interf.bursts:
             return {}
-        stamp = interf._chan_stamp
-        if stamp != self._per_memo_stamp:
+        gen = interf.generation()
+        if gen != self._per_memo_gen:
             self._per_memo.clear()
-            self._per_memo_stamp = stamp
+            self._per_memo_gen = gen
         return self._per_memo
 
     def _idle_exchange(self, t0: int, channel: int) -> int:
@@ -960,7 +963,7 @@ class Connection:
                 if trace_on:
                     TRACE.emit(
                         t, "ble", "crc_loss",
-                        conn=self.conn_id, role=sub.role.value,
+                        conn=self.conn_id, role=sub.role_name,
                         channel=channel, len=len_c,
                     )
                 coord.stats.events_crc_abort += 1
@@ -1031,7 +1034,7 @@ class Connection:
                 if trace_on:
                     TRACE.emit(
                         t, "ble", "crc_loss",
-                        conn=self.conn_id, role=coord.role.value,
+                        conn=self.conn_id, role=coord.role_name,
                         channel=channel, len=len_s,
                     )
                 sub.stats.events_crc_abort += 1

@@ -189,8 +189,8 @@ class PortableResult(ResultMetricsMixin):
     #: Precomputed per-node average BLE current (µA); None for 802.15.4.
     node_currents_ua: Optional[Dict[int, float]]
     #: Cross-layer trace records (empty unless the config enabled tracing).
-    #: TraceRecords are plain frozen dataclasses of scalars/strings/bytes,
-    #: so they pickle across the worker pipe unchanged.
+    #: TraceRecords are plain tuples of scalars/strings/bytes, so they
+    #: pickle across the worker pipe unchanged.
     trace_records: List[TraceRecord] = field(default_factory=list)
     #: Runtime metrics payload (see :mod:`repro.obs`): plain dicts of
     #: counters/histogram states, picklable and deterministic, so metric

@@ -436,7 +436,7 @@ class ExperimentRunner:
             link_series=link_series,
             link_channels=link_channels,
             network=net,
-            trace_records=list(ring.records()) if ring is not None else [],
+            trace_records=ring.records() if ring is not None else [],
             metrics=metrics_payload,
             workload=driver.summary() if driver is not None else None,
             spans=spans_payload,

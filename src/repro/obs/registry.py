@@ -327,8 +327,18 @@ class MetricsHub:
     # -- hot-path helpers (one call per instrument update) ------------------
 
     def inc(self, scope: str, name: str, n: int = 1) -> None:
-        """Increment counter ``name`` in ``scope``."""
-        self.scope(scope).counter(name).inc(n)
+        """Increment counter ``name`` in ``scope``.
+
+        :meth:`scope`, :meth:`MetricsRegistry.counter` and
+        :meth:`Counter.inc` inlined: this is the hub's most frequent call.
+        """
+        registry = self._scopes.get(scope)
+        if registry is None:
+            registry = self._scopes[scope] = MetricsRegistry()
+        counter = registry.counters.get(name)
+        if counter is None:
+            counter = registry.counters[name] = Counter()
+        counter.value += n
 
     def set_gauge(self, scope: str, name: str, value: float) -> None:
         """Set gauge ``name`` in ``scope``."""

@@ -77,11 +77,13 @@ class InterferenceModel:
     #: for a model's lifetime; this sits on the simulator's hottest path).
     _ber_memo: Dict[int, float] = field(default_factory=dict, repr=False)
     #: Per-channel static loss addend (``inf`` marks a jammed channel),
-    #: filled lazily and dropped whenever :meth:`_stamp` changes -- the
+    #: filled lazily and dropped whenever :meth:`generation` advances -- the
     #: dirty flag that spares the hot path a tuple scan plus dict probe per
     #: sampled packet.  Bursts stay out of it: they are time-dependent.
     _chan_addend: Dict[int, float] = field(default_factory=dict, repr=False)
+    #: The live :meth:`_stamp` as :meth:`generation` last saw it.
     _chan_stamp: Tuple[int, int] = (-1, -1)
+    _generation: int = 0
 
     def _stamp(self) -> Tuple[int, int]:
         """Cheap change detector for the static per-channel configuration.
@@ -94,13 +96,15 @@ class InterferenceModel:
         """
         return (id(self.jammed_channels), len(self.channel_per))
 
-    def invalidate(self) -> None:
-        """Drop the per-channel cache after an in-place value overwrite."""
-        self._chan_addend.clear()
-        self._chan_stamp = (-1, -1)
+    def generation(self) -> int:
+        """Change counter of the static per-channel configuration.
 
-    def packet_error_rate(self, channel: int, nbytes: int, now_ns: int) -> float:
-        """Total loss probability for one packet of ``nbytes`` on ``channel``."""
+        Advances when the live :meth:`_stamp` differs from the one last
+        seen, and on :meth:`invalidate`.  Every PER memo keys on it -- this
+        model's addend table and each connection's memo
+        (``Connection._per_cache``) -- so a change reaches all of them at
+        their next read, whichever reads first.
+        """
         stamp = self._chan_stamp
         if (
             stamp[0] != id(self.jammed_channels)
@@ -108,6 +112,17 @@ class InterferenceModel:
         ):
             self._chan_addend.clear()
             self._chan_stamp = self._stamp()
+            self._generation += 1
+        return self._generation
+
+    def invalidate(self) -> None:
+        """Drop every PER memo after an in-place value overwrite."""
+        self._chan_addend.clear()
+        self._generation += 1
+
+    def packet_error_rate(self, channel: int, nbytes: int, now_ns: int) -> float:
+        """Total loss probability for one packet of ``nbytes`` on ``channel``."""
+        self.generation()
         addend = self._chan_addend.get(channel)
         if addend is None:
             if channel in self.jammed_channels:

@@ -316,7 +316,8 @@ class Simulator:
         attribution is batched in loop-local dicts keyed by the callback
         object (stable across ``rearm``) and flushed into the profiler via
         :meth:`Profiler.record_bulk` when the loop exits -- one dict update
-        per event instead of a ``record`` call.
+        per event instead of a ``record`` call.  The traced ``callback``
+        label is memoised per callback object the same way.
         """
         executed = 0
         instr = self._instr
@@ -326,6 +327,7 @@ class Simulator:
         profiling = profiler.enabled
         rec_counts: dict = {}
         rec_times: dict = {}
+        names: dict = {}
         heap = self._heap
         try:
             while heap and not self._stopped and instr.version == version:
@@ -343,12 +345,18 @@ class Simulator:
                 self._now = when
                 callback = timer.callback
                 if trace is not None:
+                    try:
+                        name = names.get(callback)
+                        if name is None:
+                            name = names[callback] = callback_name(callback)
+                    except TypeError:  # unhashable callable
+                        name = callback_name(callback)
                     trace.emit(
                         when,
                         "kernel",
                         "dispatch",
                         timer_seq=timer.seq,
-                        callback=callback_name(callback),
+                        callback=name,
                     )
                 if profiling:
                     # simlint: allow-wallclock -- profiler attribution only;

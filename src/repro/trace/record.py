@@ -14,8 +14,8 @@ every other layer of the stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Tuple
+from operator import itemgetter
+from typing import Any, Optional, Tuple
 
 #: Schema registry: ``"layer.kind" -> version``.  Bump a version whenever a
 #: record's field set or meaning changes; golden traces embed the versions
@@ -91,36 +91,68 @@ def callback_name(callback: Any) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One structured observation.
+class TraceRecord(tuple):
+    """One structured observation: ``(time_ns, layer, kind, seq, names, values)``.
 
     :param time_ns: true simulation time of the observation.
     :param layer: producing layer (``kernel``, ``phy``, ``ble``, ...).
     :param kind: record kind within the layer.
     :param seq: dense per-run emission index (total order tie-breaker).
-    :param fields: the schema-specific payload as an ordered tuple.
+    :param names: the schema-specific field names, in emission order.
+        :meth:`Tracer.emit` interns one tuple per field set, so records of
+        one kind share it.
+    :param values: the field values, one per name.
+
+    A record is a tuple subclass without instance ``__dict__``: immutable,
+    hashable, picklable and one allocation besides its values tuple.  The
+    pairs form ``TraceRecord(time_ns, layer, kind, seq, fields)``, with
+    ``fields`` a tuple of ``(name, value)`` pairs, builds the same record.
     """
 
-    time_ns: int
-    layer: str
-    kind: str
-    seq: int
-    fields: Tuple[Tuple[str, Any], ...]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        time_ns: int,
+        layer: str,
+        kind: str,
+        seq: int,
+        names: Tuple[Any, ...],
+        values: Optional[Tuple[Any, ...]] = None,
+    ) -> "TraceRecord":
+        if values is None:  # the pairs form
+            values = tuple(v for _, v in names)
+            names = tuple(k for k, _ in names)
+        return tuple.__new__(cls, (time_ns, layer, kind, seq, names, values))
+
+    def __getnewargs__(self) -> Tuple[Any, ...]:
+        return tuple(self)
+
+    time_ns = property(itemgetter(0), doc="True simulation time (ns).")
+    layer = property(itemgetter(1), doc="Producing layer.")
+    kind = property(itemgetter(2), doc="Record kind within the layer.")
+    seq = property(itemgetter(3), doc="Dense per-run emission index.")
+    names = property(itemgetter(4), doc="Field names, in emission order.")
+    values = property(itemgetter(5), doc="Field values, one per name.")
+
+    @property
+    def fields(self) -> Tuple[Tuple[str, Any], ...]:
+        """The payload as ``(name, value)`` pairs, in emission order."""
+        return tuple(zip(self[4], self[5]))
 
     @property
     def key(self) -> str:
         """The schema key, ``layer.kind``."""
-        return f"{self.layer}.{self.kind}"
+        return f"{self[1]}.{self[2]}"
 
     @property
     def version(self) -> int:
         """Schema version of this record."""
-        return schema_version(self.layer, self.kind)
+        return schema_version(self[1], self[2])
 
     def get(self, name: str, default: Any = None) -> Any:
         """Field lookup by name."""
-        for k, v in self.fields:
-            if k == name:
-                return v
-        return default
+        try:
+            return self[5][self[4].index(name)]
+        except ValueError:
+            return default

@@ -43,7 +43,7 @@ def record_to_json(record: TraceRecord) -> dict:
         "seq": record.seq,
         "v": record.version,
     }
-    for key, value in record.fields:
+    for key, value in zip(record.names, record.values):
         if isinstance(value, (bytes, bytearray)):
             value = bytes(value).hex()
         obj[key] = value
@@ -89,7 +89,7 @@ class RingBufferSink:
         self._records.append(record)
 
     def records(self) -> List[TraceRecord]:
-        """The buffered records, oldest first."""
+        """The buffered records, oldest first (a fresh list)."""
         return list(self._records)
 
     def __len__(self) -> int:

@@ -18,14 +18,21 @@ Connection ids are normalized on emission: :class:`repro.ble.conn.Connection`
 draws its ``conn_id`` from a process-global counter that is *not* reset
 between runs, so raw ids would differ between a fresh process and a warm
 one.  The tracer maps them to dense first-seen indices per configuration.
+
+A record is one :class:`~repro.trace.record.TraceRecord` tuple holding an
+interned field-name tuple and a flat value tuple (see DESIGN.md, "Trace
+records"); the intern table is per-run state like the connection ids.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Set
+from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
 from repro.obs.instr import INSTR
 from repro.trace.record import TraceRecord
+
+#: Builds a record from its six items without a Python-level ``__new__``.
+_new_record = tuple.__new__
 
 
 class Tracer:
@@ -37,8 +44,8 @@ class Tracer:
         "_sim",
         "_layers",
         "_conn_ids",
+        "_names",
         "_seq",
-        "records_emitted",
     )
 
     def __init__(self) -> None:
@@ -49,9 +56,9 @@ class Tracer:
         self._sim = None
         self._layers: Optional[Set[str]] = None
         self._conn_ids: Dict[int, int] = {}
+        #: Field-name tuple intern table: one shared tuple per field set.
+        self._names: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._seq = 0
-        #: Total records emitted since the last :meth:`configure`.
-        self.records_emitted = 0
 
     def configure(
         self,
@@ -62,16 +69,17 @@ class Tracer:
         """Arm the tracer: install sinks, reset per-run state, enable.
 
         :param sinks: objects with ``accept(record)``; closed by the caller.
-        :param sim: optional simulator for :meth:`now` (layers without a
-            time source of their own, e.g. the IP stack, use it).
+        :param sim: optional simulator whose clock stamps ``time_ns=None``
+            emissions (layers without a time source of their own, e.g. the
+            IP stack).
         :param layers: restrict emission to these layers (``None`` = all).
         """
         self._sinks = tuple(sinks)
         self._sim = sim
         self._layers = set(layers) if layers is not None else None
         self._conn_ids = {}
+        self._names = {}
         self._seq = 0
-        self.records_emitted = 0
         self.enabled = True
         INSTR.bump()
 
@@ -87,38 +95,45 @@ class Tracer:
         self._sim = None
         self._layers = None
         self._conn_ids = {}
+        self._names = {}
 
-    def now(self) -> int:
-        """Current simulation time, or 0 when no simulator is attached."""
-        sim = self._sim
-        return sim.now if sim is not None else 0
-
-    def conn_ref(self, conn_id: int) -> int:
-        """Dense per-run id for a process-global connection id."""
-        ref = self._conn_ids.get(conn_id)
-        if ref is None:
-            ref = len(self._conn_ids)
-            self._conn_ids[conn_id] = ref
-        return ref
+    @property
+    def records_emitted(self) -> int:
+        """Total records emitted since the last :meth:`configure`."""
+        return self._seq
 
     def emit(self, time_ns: Optional[int], layer: str, kind: str, **fields: Any) -> None:
         """Build one record and fan it out to every sink.
 
-        ``time_ns=None`` stamps the record with :meth:`now`.  The reserved
-        ``conn`` field is normalized through :meth:`conn_ref`.
+        ``time_ns=None`` stamps the record with the attached simulator's
+        clock (0 without one).  The reserved ``conn`` field is normalized to
+        its dense per-run index.  The field names become the record's
+        interned ``names`` tuple, the values one flat ``values`` tuple.
         """
         if not self.enabled:
             return
-        if self._layers is not None and layer not in self._layers:
+        layers = self._layers
+        if layers is not None and layer not in layers:
             return
         if time_ns is None:
-            time_ns = self.now()
+            sim = self._sim
+            time_ns = sim.now if sim is not None else 0
         conn = fields.get("conn")
         if conn is not None:
-            fields["conn"] = self.conn_ref(conn)
-        record = TraceRecord(time_ns, layer, kind, self._seq, tuple(fields.items()))
-        self._seq += 1
-        self.records_emitted += 1
+            conn_ids = self._conn_ids
+            ref = conn_ids.get(conn)
+            if ref is None:
+                ref = conn_ids[conn] = len(conn_ids)
+            fields["conn"] = ref
+        key = tuple(fields)
+        names = self._names.get(key)
+        if names is None:
+            names = self._names[key] = key
+        seq = self._seq
+        self._seq = seq + 1
+        record = _new_record(
+            TraceRecord, (time_ns, layer, kind, seq, names, tuple(fields.values()))
+        )
         for sink in self._sinks:
             sink.accept(record)
 

@@ -1,6 +1,9 @@
 """TraceRecord and schema-registry unit tests."""
 
 import functools
+import pickle
+
+import pytest
 
 from repro.trace.record import (
     SCHEMAS,
@@ -8,6 +11,8 @@ from repro.trace.record import (
     callback_name,
     schema_version,
 )
+from repro.trace.sinks import RingBufferSink, record_to_json
+from repro.trace.tracer import Tracer
 
 
 class TestSchemas:
@@ -81,3 +86,51 @@ class TestTraceRecord:
         record = TraceRecord(5, "ble", "ll_tx", 0, (("sn", 1),))
         assert record == TraceRecord(5, "ble", "ll_tx", 0, (("sn", 1),))
         assert hash(record) == hash(TraceRecord(5, "ble", "ll_tx", 0, (("sn", 1),)))
+        with pytest.raises(AttributeError):
+            record.time_ns = 6
+        with pytest.raises(AttributeError):
+            record.fields = ()
+
+    def test_pickle_round_trip_keeps_equality_and_json(self):
+        record = TraceRecord(
+            5, "sixlo", "tx", 3, (("node", 1), ("data", b"\x01\x02"), ("ok", True))
+        )
+        clone = pickle.loads(pickle.dumps(record))
+        assert type(clone) is TraceRecord
+        assert clone == record
+        assert hash(clone) == hash(record)
+        assert record_to_json(clone) == record_to_json(record)
+
+
+def _emitted(*calls):
+    """Records a fresh tracer emits for ``(time, layer, kind, fields)`` calls."""
+    ring = RingBufferSink()
+    tracer = Tracer()
+    tracer.configure(sinks=[ring])
+    for time_ns, layer, kind, fields in calls:
+        tracer.emit(time_ns, layer, kind, **fields)
+    tracer.reset()
+    return ring.records()
+
+
+class TestEmittedRecords:
+    def test_same_field_set_shares_one_names_tuple(self):
+        first, second, other = _emitted(
+            (1, "ble", "ll_tx", {"sn": 0, "nesn": 1}),
+            (2, "ble", "ll_tx", {"sn": 1, "nesn": 0}),
+            (3, "ble", "ll_tx", {"nesn": 0, "sn": 1}),
+        )
+        assert first.names is second.names
+        assert first.values != second.values
+        assert other.names == ("nesn", "sn")  # order is part of the field set
+
+    def test_fields_and_get_match_the_pairs_form(self):
+        pairs = (("conn", 0), ("role", "coordinator"), ("sn", 1), ("len", 27))
+        (emitted,) = _emitted((7, "ble", "ll_tx", dict(pairs, conn=900)))
+        built = TraceRecord(7, "ble", "ll_tx", 0, pairs)
+        assert emitted == built
+        assert emitted.fields == built.fields == pairs
+        for name, value in pairs:
+            assert emitted.get(name) == built.get(name) == value
+        assert emitted.get("missing", 7) == built.get("missing", 7) == 7
+        assert record_to_json(emitted) == record_to_json(built)
